@@ -24,7 +24,11 @@ from repro.arx.invariants import (
 from repro.core.anomaly import AnomalyDetector, ThresholdRule
 from repro.core.context import GLOBAL_CONTEXT, OperationContext
 from repro.core.inference import InferenceResult, RankedCause
-from repro.core.pipeline import ABNORMAL_WINDOW_TICKS, DiagnosisResult
+from repro.core.pipeline import (
+    ABNORMAL_WINDOW_TICKS,
+    DiagnosisResult,
+    cut_abnormal_window,
+)
 from repro.core.signatures import SignatureDatabase
 from repro.telemetry.metrics import MetricCatalog
 from repro.telemetry.trace import RunTrace
@@ -116,15 +120,9 @@ class ARXInvarNet:
         if slot.detector is None:
             raise RuntimeError(f"no performance model trained for {context}")
         node = run.node(context.node_id)
-        report = slot.detector.detect(node.cpi)
-        first = report.first_problem_tick()
-        if first is None:
-            return None
-        start = max(first - 2, 0)
-        stop = min(start + window_ticks, node.ticks)
-        if stop - start < 8:
-            start = max(stop - window_ticks, 0)
-        return node.metrics[start:stop]
+        return cut_abnormal_window(
+            node, slot.detector.detect(node.cpi), window_ticks
+        )
 
     def train_signature_from_run(
         self, context: OperationContext, problem: str, run: RunTrace
@@ -159,7 +157,7 @@ class ARXInvarNet:
         report = slot.detector.detect(node.cpi)
         if not report.problem_detected:
             return DiagnosisResult(context=context, anomaly=report)
-        window = self.extract_abnormal_window(context, run)
+        window = cut_abnormal_window(node, report, ABNORMAL_WINDOW_TICKS)
         assert window is not None
         violations = slot.network.violations(window)
         ranking = slot.database.rank(

@@ -15,7 +15,7 @@ an agent would run per operation context:
    cool-down before re-arming (one incident, one report).
 
 Diagnosis goes through :meth:`InvarNetX.infer`, so the collected window's
-association matrix is computed by the shared-precompute MIC engine behind
+association matrix is computed by the batched MIC engine behind
 the process-wide content-hash cache (:mod:`repro.stats.micfast`): if the
 same window is ever re-scored — a replayed incident, or several monitors
 watching mirrored telemetry — the MIC sweep is not repeated.

@@ -57,7 +57,7 @@ from repro.obs.ledger import (
 from repro.stats.mic import MICParameters
 from repro.store import ContextModels, MemoryStore, ModelStore
 from repro.telemetry.metrics import MetricCatalog
-from repro.telemetry.trace import RunTrace
+from repro.telemetry.trace import NodeTrace, RunTrace
 
 __all__ = ["InvarNetXConfig", "DiagnosisResult", "InvarNetX"]
 
@@ -92,6 +92,21 @@ def _ledger_span(name: str, active: bool):
             tracer.enabled = False
             if isinstance(root, obs.Span):
                 tracer.discard(root)
+
+
+def cut_abnormal_window(
+    node: NodeTrace, report: AnomalyReport, window_ticks: int
+) -> np.ndarray | None:
+    """The ``window_ticks`` metric samples from where ``report`` first
+    flagged a problem (less the three-consecutive lead), or None."""
+    first = report.first_problem_tick()
+    if first is None:
+        return None
+    start = max(first - 2, 0)
+    stop = min(start + window_ticks, node.ticks)
+    if stop - start < 8:
+        start = max(stop - window_ticks, 0)
+    return node.metrics[start:stop]
 
 
 def _invariant_spreads(matrices: list, invariants: InvariantSet) -> list[float]:
@@ -364,7 +379,7 @@ class InvarNetX:
         """Pairwise MIC matrix of one observation window (helper shared by
         training and diagnosis).
 
-        Runs on the shared-precompute MIC engine with the config's
+        Runs on the batched MIC engine with the config's
         ``mic_workers`` parallelism, behind the process-wide window cache:
         re-scoring a byte-identical window (common when training and
         diagnosis revisit the same run) costs one content hash.
@@ -569,20 +584,14 @@ class InvarNetX:
         Runs anomaly detection on the run's CPI and returns the
         ``window_ticks`` metric samples starting where the problem was first
         reported (less the three-consecutive lead).  Returns None when no
-        problem is detected.  Signature training and diagnosis both use
-        this, so stored and queried signatures come from identically
-        selected windows.
+        problem is detected.  Signature training and :meth:`diagnose_run`
+        cut their windows with the same helper, so stored and queried
+        signatures come from identically selected windows.
         """
         node = run.node(context.node_id)
-        report = self.detect(context, node.cpi)
-        first = report.first_problem_tick()
-        if first is None:
-            return None
-        start = max(first - 2, 0)
-        stop = min(start + window_ticks, node.ticks)
-        if stop - start < 8:
-            start = max(stop - window_ticks, 0)
-        return node.metrics[start:stop]
+        return cut_abnormal_window(
+            node, self.detect(context, node.cpi), window_ticks
+        )
 
     def train_signature_from_run(
         self,
@@ -719,9 +728,9 @@ class InvarNetX:
             report = self.detect(context, node.cpi)
             inference = None
             if report.problem_detected:
-                window = self.extract_abnormal_window(
-                    context, run, window_ticks
-                )
+                # Cut the window from the report already in hand: a second
+                # detect() would double every detection counter.
+                window = cut_abnormal_window(node, report, window_ticks)
                 assert window is not None  # detection implies a window
                 inference = self.infer(context, window, top_k=top_k)
         result = DiagnosisResult(

@@ -8,10 +8,9 @@ engines the paper relies on:
 - :mod:`repro.stats.mic` — the Maximal Information Coefficient of
   Reshef et al. (Science, 2011), used to build likely invariants
   (paper §3.3).
-- :mod:`repro.stats.micfast` — the shared-precompute MIC engine for
-  whole association matrices: per-column precompute reused across all
-  pairs, optional process-pool parallelism, and a content-hash LRU cache
-  of computed matrices.
+- :mod:`repro.stats.micfast` — whole association matrices on the
+  batched MIC kernel: one kernel call per window, optional process-pool
+  parallelism, and a content-hash LRU cache of computed matrices.
 
 Supporting modules supply shared time-series machinery
 (:mod:`repro.stats.timeseries`) and association/regression helpers

@@ -21,17 +21,22 @@ approximation algorithm directly:
 Both axis orientations are evaluated and the per-cell maximum taken, as in
 the reference implementation.
 
-The kernels here are written to be shared across pairs.  Everything that
-depends on a single column only — its sort order, its tie-group structure,
-and the whole family of y-axis equipartitions (one per row count) — is
-computed once by :func:`prepare_column` and reused for every pair the
-column appears in; :mod:`repro.stats.micfast` drives that reuse across a
-full association matrix.  The per-pair work that remains is the clump
-construction and the x-axis dynamic programme, both vectorised: the
-``(k+1, k+1)`` partial-entropy gain matrix over clump boundaries is built
-from a precomputed ``m * log(m)`` lookup table (no transcendental calls in
-the hot loop), after which each additional DP column is a single
-broadcast-add-and-max over reused buffers.
+One batched kernel scores every pair of a window (:func:`_mic_pairs`).
+Everything that depends on a single column only — its sort order, its
+tie structure, and the whole family of y-axis equipartitions (one per
+row count, each with its entropy ``H(Q)``) — is computed once by
+:func:`prepare_column`.  An *item* is an ordered pair ``(x, y)`` with one
+entry of ``y``'s plan.  Clump construction, cumulative row counts, the
+``(k+1, k+1)`` partial-entropy gain matrices (gathered from a precomputed
+``m * log(m)`` table, no transcendental calls in the hot loop) and the
+x-axis dynamic programme all run as array operations over chunks of
+items whose scratch fits :data:`_CHUNK_BYTES`.  Shorter items are padded:
+padded boundaries repeat ``n`` (their cells hold no points, so they are
+``-inf``) and padded rows count zero (they add ``nlogn[0] = 0``), so every
+item's scores are bit-identical to scoring it alone.  Only the superclump
+walk runs per item, and only when an item has more clumps than its
+``k_hat``.  Scalar :func:`mic` is the same kernel on a two-column window;
+:mod:`repro.stats.micfast` runs it over a full association matrix.
 """
 
 from __future__ import annotations
@@ -131,55 +136,23 @@ def _equipartition(values: np.ndarray, num_bins: int) -> np.ndarray:
     return assign
 
 
-def _tie_group_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """Start index of every maximal run of equal values (sorted input)."""
-    changes = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
-    return np.concatenate(([0], changes)).astype(np.int64)
+def _tie_structure(
+    sorted_values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tie groups of a sorted column, as per-position arrays.
 
-
-def _clumps_from_groups(
-    q_x: np.ndarray, group_starts: np.ndarray, n: int
-) -> np.ndarray:
-    """Clump boundaries given precomputed x tie-group starts.
-
-    A clump is a maximal run of x-consecutive points that share a y-row.
-    An x tie group spanning several rows is atomic: it becomes its own
-    (mixed) clump, labelled distinctly so it cannot merge with neighbours.
+    Returns ``(tied, first, last)``: ``tied[p]`` says position ``p``
+    repeats the value before it, and ``first[p]`` / ``last[p]`` are the
+    first and last positions of ``p``'s group of equal values.
     """
-    if group_starts.size == n:
-        labels = q_x
-    else:
-        gmin = np.minimum.reduceat(q_x, group_starts)
-        gmax = np.maximum.reduceat(q_x, group_starts)
-        hetero = gmax > gmin
-        if hetero.any():
-            sizes = np.diff(np.append(group_starts, n))
-            group_of = np.repeat(np.arange(group_starts.size), sizes)
-            # Negative labels are one-per-group, so a mixed group never
-            # merges with anything — including an adjacent mixed group.
-            labels = np.where(hetero[group_of], -group_of - 1, q_x)
-        else:
-            labels = q_x
-    changes = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    return np.concatenate(([0], changes, [n])).astype(np.int64)
-
-
-def _clumps(x_sorted: np.ndarray, q_by_xorder: np.ndarray) -> np.ndarray:
-    """Clump boundaries (cumulative point counts) along the x axis.
-
-    Args:
-        x_sorted: x values sorted ascending.
-        q_by_xorder: row index of each point, in x order.
-
-    Returns:
-        Array ``c`` with ``c[0] == 0`` and ``c[-1] == n`` so that clump ``t``
-        covers points ``c[t-1]:c[t]``.
-    """
-    n = x_sorted.size
-    starts = _tie_group_starts(np.asarray(x_sorted))
-    return _clumps_from_groups(
-        np.asarray(q_by_xorder, dtype=np.int64), starts, n
-    )
+    n = sorted_values.size
+    tied = np.zeros(n, dtype=bool)
+    np.equal(sorted_values[1:], sorted_values[:-1], out=tied[1:])
+    starts = np.flatnonzero(~tied)
+    sizes = np.diff(np.append(starts, n))
+    first = np.repeat(starts, sizes)
+    last = np.repeat(starts + sizes - 1, sizes)
+    return tied, first, last
 
 
 def _superclumps(boundaries: np.ndarray, n: int, k_hat: int) -> np.ndarray:
@@ -214,137 +187,216 @@ def _superclumps(boundaries: np.ndarray, n: int, k_hat: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def _cum_counts(
-    q_x: np.ndarray, boundaries: np.ndarray, realised_rows: int
-) -> np.ndarray:
-    """Cumulative per-row counts at each clump boundary, shape (k+1, rows)."""
-    k = boundaries.size - 1
-    seg = np.repeat(np.arange(k), np.diff(boundaries))
-    flat = np.bincount(
-        seg * realised_rows + q_x, minlength=k * realised_rows
+def _batch_boundaries(
+    q_x: np.ndarray,
+    tied: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clump boundaries of a batch of items along their x axes.
+
+    A clump is a maximal run of x-consecutive points that share a y-row.
+    An x tie group spanning several rows is atomic: it becomes its own
+    (mixed) clump, cut from both neighbours.
+
+    Args:
+        q_x: ``(c, n)`` row index of each point, in each item's x order.
+        tied, first, last: ``(c, n)`` tie structure of each item's x
+            column (:func:`_tie_structure`).
+
+    Returns:
+        ``(bnd, k)``: ``bnd[i, :k[i] + 1]`` are item ``i``'s boundaries
+        (cumulative point counts, ``0`` first and ``n`` last) and the rest
+        of the row repeats ``n``.
+    """
+    c, n = q_x.shape
+    cut = np.empty((c, n + 1), dtype=bool)
+    cut[:, 0] = True
+    cut[:, n] = True
+    inner = cut[:, 1:n]
+    np.not_equal(q_x[:, 1:], q_x[:, :-1], out=inner)
+    # A group is mixed when some row change falls inside it; count the
+    # changes seen so far and compare the count across the group.
+    seen = np.zeros((c, n), dtype=np.intp)
+    np.cumsum(inner & tied[:, 1:], axis=1, out=seen[:, 1:])
+    mixed = np.take_along_axis(seen, last, axis=1) > np.take_along_axis(
+        seen, first, axis=1
     )
-    cum = np.zeros((k + 1, realised_rows), dtype=np.int64)
-    np.cumsum(flat.reshape(k, realised_rows), axis=0, out=cum[1:])
+    inner |= mixed[:, :-1]
+    inner |= mixed[:, 1:]
+    inner &= ~tied[:, 1:]
+    per_item = cut.sum(axis=1)
+    items, positions = np.nonzero(cut)
+    rank = np.arange(items.size) - np.repeat(
+        np.cumsum(per_item) - per_item, per_item
+    )
+    bnd = np.full((c, int(per_item.max())), n, dtype=np.intp)
+    bnd[items, rank] = positions
+    return bnd, per_item - 1
+
+
+def _batch_cum_counts(
+    q_x: np.ndarray, bnd: np.ndarray, rows: int
+) -> np.ndarray:
+    """Cumulative per-row counts at each clump boundary, ``(c, rows, K+1)``.
+
+    Entry ``[i, r, t]`` counts item ``i``'s points before boundary ``t``
+    that fall in row ``r``.  Past an item's last boundary the counts stay
+    at the row totals, and rows an item does not have stay zero.
+    """
+    c, n = q_x.shape
+    k_max = bnd.shape[1] - 1
+    starts = np.zeros((c, n + 1), dtype=bool)
+    starts[np.arange(c)[:, None], bnd[:, :-1]] = True
+    clump = np.cumsum(starts[:, :n], axis=1)
+    clump -= 1
+    flat = (np.arange(c)[:, None] * k_max + clump) * rows + q_x
+    counts = np.bincount(flat.ravel(), minlength=c * k_max * rows)
+    cum = np.zeros((c, rows, k_max + 1), dtype=np.intp)
+    np.cumsum(
+        counts.reshape(c, k_max, rows).transpose(0, 2, 1),
+        axis=2,
+        out=cum[:, :, 1:],
+    )
     return cum
 
 
-class _Workspace:
-    """Reusable scratch matrices for the per-grid dynamic programme.
+class _Scratch:
+    """Grow-only flat buffers that each chunk carves its matrices from.
 
-    The DP allocates several ``(k+1, k+1)`` temporaries per grid
-    resolution; at realistic window sizes each is large enough that a
-    fresh allocation costs page faults every time.  One workspace amortises
-    them across all grids of a pair — and, via :mod:`repro.stats.micfast`,
-    across the whole association matrix.  Buffers only ever grow.
+    A chunk of ``c`` items with ``w = K + 1`` boundaries needs two float
+    matrices, one index matrix and one mask, all ``(c, w, w)``: that is
+    :data:`_CELL_BYTES` per cell.  The buffers grow to a window's largest
+    chunk and every chunk reuses them, so the chunk budget bounds the
+    kernel's scratch memory.
     """
 
-    __slots__ = ("cap", "f0", "f1", "f2", "i0", "i1", "b0")
+    __slots__ = ("cells", "f0", "f1", "i0", "b0")
 
     def __init__(self) -> None:
-        self.cap = 0
+        self._allocate(0)
 
-    def ensure(self, width: int) -> None:
-        """Guarantee capacity for ``(width, width)`` scratch matrices."""
-        if width > self.cap:
-            self.cap = width
-            sq = width * width
-            self.f0 = np.empty(sq)
-            self.f1 = np.empty(sq)
-            self.f2 = np.empty(sq)
-            self.i0 = np.empty(sq, dtype=np.int64)
-            self.i1 = np.empty(sq, dtype=np.int64)
-            self.b0 = np.empty(sq, dtype=bool)
+    def _allocate(self, cells: int) -> None:
+        self.cells = cells
+        self.f0 = np.empty(cells)
+        self.f1 = np.empty(cells)
+        self.i0 = np.empty(cells, dtype=np.intp)
+        self.b0 = np.empty(cells, dtype=bool)
 
-    @staticmethod
-    def mat(flat: np.ndarray, width: int) -> np.ndarray:
-        """A ``(width, width)`` view over a flat scratch buffer."""
-        return flat[: width * width].reshape(width, width)
+    def views(
+        self, c: int, w: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(c, w, w)`` float, float, index and mask views."""
+        size = c * w * w
+        if size > self.cells:
+            self._allocate(size)
+        shape = (c, w, w)
+        return (
+            self.f0[:size].reshape(shape),
+            self.f1[:size].reshape(shape),
+            self.i0[:size].reshape(shape),
+            self.b0[:size].reshape(shape),
+        )
 
 
-def _entropy_gains(
+#: Scratch bytes per ``(c, w, w)`` cell: two float64, one index, one mask.
+_CELL_BYTES = 8 + 8 + np.dtype(np.intp).itemsize + 1
+
+#: Byte budget of one chunk's scratch matrices.  A thread that has scored
+#: a window keeps its peak (this budget plus a boundary pass of about the
+#: same size) in its malloc arena, so a server diagnosing on eight ingest
+#: threads can pay it eight times.  At 30 samples a chunk still holds
+#: 5-20 items.
+_CHUNK_BYTES = 1 << 17
+
+#: Budget divisor of the clump-boundary pass: a pass takes
+#: ``_CHUNK_BYTES // (_POINT_BYTES * n)`` items.  Its ``(c, n)`` arrays use
+#: about 60 bytes per point, so a pass stays near the chunk budget while
+#: holding enough items for the clump-count sort to pay off.
+_POINT_BYTES = 64
+
+
+def _batch_entropy_gains(
+    bnd: np.ndarray,
     cum: np.ndarray,
-    nlogn: np.ndarray | None = None,
-    work: _Workspace | None = None,
+    nlogn: np.ndarray,
+    scratch: _Scratch,
 ) -> np.ndarray:
-    """Pairwise column-gain matrix for the x-axis DP.
+    """Column-gain matrices of a batch of items for the x-axis DP.
 
-    ``cum[s]`` holds per-row cumulative counts of the first ``s`` clumps.
-    Entry ``(s, t)`` (for ``s < t``) is the unnormalised contribution of a
-    column spanning clumps ``s+1 .. t`` to ``-n * H(Q | P)``:
+    ``cum[i, r, s]`` holds item ``i``'s row-``r`` count over its first
+    ``s`` clumps.  Entry ``(i, s, t)`` (for ``s < t``) is the unnormalised
+    contribution of a column spanning clumps ``s+1 .. t`` to
+    ``-n * H(Q | P)``:
 
         gain(s, t) = sum_rows  m_r * log(m_r / m)
                    = sum_rows  m_r * log(m_r)  -  m * log(m)
 
     with ``m_r`` the per-row counts inside the column and ``m`` its total —
     both integers, so both terms come from the ``nlogn`` lookup table.
+    The sum runs from ``-m * log(m)`` over the rows in order, one add per
+    row for every item at once; a row an item does not have adds
+    ``nlogn[0] = 0``.  Cells with ``m <= 0`` (``s >= t``, and every cell
+    between padded boundaries) are ``-inf``.
+
+    Returns a ``(c, K+1, K+1)`` view of the scratch's first float buffer.
     """
-    if nlogn is None:
-        nlogn = _nlogn_table(int(cum[-1].sum()))
-    if work is None:
-        work = _Workspace()
-    k_plus_1 = cum.shape[0]
-    work.ensure(k_plus_1)
-    totals = _Workspace.mat(work.i0, k_plus_1)
-    diff = _Workspace.mat(work.i1, k_plus_1)
-    gains = _Workspace.mat(work.f0, k_plus_1)
-    gathered = _Workspace.mat(work.f1, k_plus_1)
-    invalid = _Workspace.mat(work.b0, k_plus_1)
-    # Column totals come straight from the boundary positions: the total of
-    # clumps s+1..t is boundary[t] - boundary[s].
-    b = cum.sum(axis=1)
-    np.subtract(b[None, :], b[:, None], out=totals)  # (s, t)
-    # Invalid cells (s >= t) have totals <= 0; their negative differences
-    # clip to the table's 0 entry, and the mask at the end overwrites them.
-    np.take(nlogn, totals, out=gains, mode="clip")
+    c, w = bnd.shape
+    gains, gathered, diff, invalid = scratch.views(c, w)
+    # The total of clumps s+1..t is boundary[t] - boundary[s].
+    np.subtract(bnd[:, None, :], bnd[:, :, None], out=diff)
+    np.less_equal(diff, 0, out=invalid)
+    # Negative differences clip to the table's 0 entry; the mask at the
+    # end overwrites those cells.
+    np.take(nlogn, diff, out=gains, mode="clip")
     np.negative(gains, out=gains)
-    cum_t = np.ascontiguousarray(cum.T)  # (rows, k+1)
-    for row_counts in cum_t:
-        np.subtract(row_counts[None, :], row_counts[:, None], out=diff)
+    for r in range(cum.shape[1]):
+        row_counts = cum[:, r, :]
+        np.subtract(row_counts[:, None, :], row_counts[:, :, None], out=diff)
         np.take(nlogn, diff, out=gathered, mode="clip")
         gains += gathered
-    np.less_equal(totals, 0, out=invalid)
-    gains[invalid] = -np.inf
+    np.copyto(gains, -np.inf, where=invalid)
     return gains
 
 
-def _optimize_axis(
-    q_counts_cum: np.ndarray,
-    n: int,
-    max_cols: int,
-    nlogn: np.ndarray | None = None,
-    work: _Workspace | None = None,
+def _batch_optimize_axis(
+    gains: np.ndarray,
+    k: np.ndarray,
+    max_cols: np.ndarray,
+    scratch: _Scratch,
 ) -> np.ndarray:
-    """Maximal ``-n * H(Q|P)`` for each column count ``l = 1 .. max_cols``.
+    """Maximal ``-n * H(Q|P)`` of each item for ``l = 1 .. max_cols`` columns.
 
     Args:
-        q_counts_cum: ``(k+1, rows)`` cumulative per-row counts at each
-            clump boundary.
-        n: total number of points.
-        max_cols: largest number of x-axis columns to evaluate.
-        nlogn: optional precomputed ``m * log(m)`` table covering ``0 .. n``.
+        gains: ``(c, K+1, K+1)`` gain matrices from
+            :func:`_batch_entropy_gains`.
+        k: clump count of each item.
+        max_cols: largest number of x-axis columns to evaluate per item.
+        scratch: the scratch ``gains`` lives in; its second float buffer
+            is the DP's work matrix.
 
     Returns:
-        Array ``G`` of length ``max_cols + 1``; ``G[l]`` is the optimum for
-        ``l`` columns (``G[0]`` unused, ``-inf``).
+        ``(c, L+1)`` array ``G``; ``G[i, l]`` is item ``i``'s optimum for
+        ``l`` columns, ``-inf`` where ``l`` exceeds ``min(max_cols, k)``
+        (and at ``l = 0``).
     """
-    k = q_counts_cum.shape[0] - 1
-    if work is None:
-        work = _Workspace()
-    gains = _entropy_gains(q_counts_cum, nlogn, work)
-    max_cols = min(max_cols, k)
-    out = np.full(max_cols + 1, -np.inf)
-    # G_l[t] = best value partitioning the first t clumps into l columns.
-    g_prev = gains[0, :].copy()  # l = 1: single column over clumps 1..t
-    out[1] = g_prev[k]
-    if max_cols >= 2:
-        buf = _Workspace.mat(work.f2, k + 1)
-        g_curr = np.empty_like(g_prev)
-        for l in range(2, max_cols + 1):
-            # g_curr[t] = max_s g_prev[s] + gains[s, t]
-            np.add(g_prev[:, None], gains, out=buf)
-            buf.max(axis=0, out=g_curr)
-            out[l] = g_curr[k]
-            g_prev, g_curr = g_curr, g_prev
+    c, w, _ = gains.shape
+    limit = np.minimum(max_cols, k)
+    cols = int(limit.max())
+    out = np.full((c, cols + 1), -np.inf)
+    items = np.arange(c)
+    # g[i, t] = best value partitioning item i's first t clumps into l
+    # columns.  Padded clumps (t > k) never feed g[i, k]: every path
+    # into t = k from a padded s crosses a -inf cell.
+    g = gains[:, 0, :].copy()  # l = 1: single column over clumps 1..t
+    out[:, 1] = g[items, k]
+    work = scratch.views(c, w)[1]
+    for l in range(2, cols + 1):
+        # g[i, t] = max_s g[i, s] + gains[i, s, t]
+        np.add(g[:, :, None], gains, out=work)
+        work.max(axis=1, out=g)
+        out[:, l] = g[items, k]
+    out[np.arange(cols + 1)[None, :] > limit[:, None]] = -np.inf
     return out
 
 
@@ -352,30 +404,36 @@ class ColumnPrep:
     """Pair-independent precompute of one metric column.
 
     Everything MIC needs from a column alone: its stable argsort order,
-    the tie-group starts of the sorted values (clump construction), and
-    the *plan* — the family of y-axis equipartitions, one entry per
-    distinct ``(row assignment, column budget)`` the grid-budget sweep
-    produces.  Entries whose assignment and budget duplicate an earlier
-    row count are dropped: the downstream computation would be
-    bit-identical, so deduplication is a pure speedup.
+    the tie structure of the sorted values (clump construction), and the
+    *plan* — the family of y-axis equipartitions, one entry per distinct
+    ``(row assignment, column budget)`` the grid-budget sweep produces.
+    Entries whose assignment and budget duplicate an earlier row count
+    are dropped: the downstream computation would be bit-identical, so
+    deduplication is a pure speedup.
 
     Attributes:
         order: stable argsort of the column.
-        group_starts: start index of each tie group in sorted order.
-        plan: list of ``(max_cols, q, realised_rows)`` with ``q`` the row
-            assignment in original index order.
+        tied, first, last: tie structure in sorted order
+            (:func:`_tie_structure`).
+        plan: list of ``(max_cols, q, realised_rows, h_q)`` with ``q`` the
+            row assignment in original index order and ``h_q`` its entropy
+            ``H(Q)`` in nats.
     """
 
-    __slots__ = ("order", "group_starts", "plan")
+    __slots__ = ("order", "tied", "first", "last", "plan")
 
     def __init__(
         self,
         order: np.ndarray,
-        group_starts: np.ndarray,
-        plan: list[tuple[int, np.ndarray, int]],
+        tied: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+        plan: list[tuple[int, np.ndarray, int, float]],
     ) -> None:
         self.order = order
-        self.group_starts = group_starts
+        self.tied = tied
+        self.first = first
+        self.last = last
         self.plan = plan
 
 
@@ -399,8 +457,7 @@ def prepare_column(
     n = vals.size
     order = np.argsort(vals, kind="stable")
     svals = vals[order]
-    group_starts = _tie_group_starts(svals)
-    plan: list[tuple[int, np.ndarray, int]] = []
+    plan: list[tuple[int, np.ndarray, int, float]] = []
     seen: set[tuple[bytes, int]] = set()
     max_rows = budget // 2
     for rows in range(2, max_rows + 1):
@@ -417,87 +474,152 @@ def prepare_column(
         seen.add(key)
         q = np.empty(n, dtype=np.int64)
         q[order] = q_sorted
-        plan.append((max_cols, q, realised_rows))
-    return ColumnPrep(order, group_starts, plan)
-
-
-def _half_characteristic_prepared(
-    prep_x: ColumnPrep,
-    prep_y: ColumnPrep,
-    n: int,
-    params: MICParameters,
-    nlogn: np.ndarray,
-    work: _Workspace | None = None,
-) -> dict[tuple[int, int], float]:
-    """Characteristic-matrix entries with the y axis equipartitioned.
-
-    Returns a map from realised grid shape ``(cols, realised_rows)`` to
-    mutual information in nats (unnormalised).  Keying by the *realised*
-    row count is what makes heavily tied columns normalise correctly: a
-    requested 8-row grid that ties collapse to 2 rows is a 2-row grid.
-    """
-    entries: dict[tuple[int, int], float] = {}
-    if work is None:
-        work = _Workspace()
-    order_x = prep_x.order
-    for max_cols, q, realised_rows in prep_y.plan:
-        q_x = q[order_x]
-        boundaries = _clumps_from_groups(q_x, prep_x.group_starts, n)
-        k_hat = max(params.clumps_factor * max_cols, 2)
-        boundaries = _superclumps(boundaries, n, k_hat)
-        k = boundaries.size - 1
-        cum = _cum_counts(q_x, boundaries, realised_rows)
-        # H(Q) over all points, in nats.
-        row_totals = cum[-1].astype(float)
-        probs = row_totals / n
+        # H(Q) over all points, in nats: it depends on this plan entry
+        # only, never on the x column it is paired with.
+        probs = np.bincount(q_sorted).astype(float) / n
         h_q = -float(np.sum(probs[probs > 0] * np.log(probs[probs > 0])))
-        g = _optimize_axis(cum, n, max_cols, nlogn, work)
-        for cols in range(2, min(max_cols, k) + 1):
-            if not np.isfinite(g[cols]):
-                continue
-            mi = h_q + g[cols] / n
-            key = (cols, realised_rows)
-            if mi > entries.get(key, -np.inf):
-                entries[key] = mi
-    return entries
+        plan.append((max_cols, q, realised_rows, h_q))
+    return ColumnPrep(order, *_tie_structure(svals), plan)
 
 
-def _half_characteristic(
-    x: np.ndarray, y: np.ndarray, budget: int, params: MICParameters
-) -> dict[tuple[int, int], float]:
-    """One-shot form of :func:`_half_characteristic_prepared`."""
-    n = x.size
-    prep_x = prepare_column(x, budget, params)
-    prep_y = prepare_column(y, budget, params)
-    return _half_characteristic_prepared(
-        prep_x, prep_y, n, params, _nlogn_table(n)
-    )
+def _log_table(size: int) -> np.ndarray:
+    """``t[v] = log(v)`` for ``v = 2 .. size - 1`` (``t[0:2]`` unused)."""
+    return np.array([0.0, 0.0] + [np.log(v) for v in range(2, size)])
 
 
-def _mic_prepared(
-    prep_x: ColumnPrep,
-    prep_y: ColumnPrep,
-    n: int,
-    params: MICParameters,
+def _chunk_scores(
+    q_x: np.ndarray,
+    bnd: np.ndarray,
+    k: np.ndarray,
+    max_cols: np.ndarray,
+    rows: int,
+    h_q: np.ndarray,
     nlogn: np.ndarray,
-    work: _Workspace | None = None,
-) -> float:
-    """MIC of two prepared columns (both all-finite and non-constant)."""
-    if work is None:
-        work = _Workspace()
-    best = 0.0
-    for first, second in ((prep_x, prep_y), (prep_y, prep_x)):
-        entries = _half_characteristic_prepared(
-            first, second, n, params, nlogn, work
+    logs: np.ndarray,
+    scratch: _Scratch,
+) -> np.ndarray:
+    """Best normalised score of each item of one chunk.
+
+    All items of a chunk share their realised row count ``rows``.
+    """
+    n = q_x.shape[1]
+    cum = _batch_cum_counts(q_x, bnd, rows)
+    gains = _batch_entropy_gains(bnd, cum, nlogn, scratch)
+    g = _batch_optimize_axis(gains, k, max_cols, scratch)[:, 2:]
+    # Normalise by the *realised* grid: ties can collapse the requested
+    # rows, and log(min(cols, rows)) must describe the grid actually
+    # scored.
+    cols = np.arange(2, 2 + g.shape[1])
+    mi = h_q[:, None] + g / n
+    return (mi / logs[np.minimum(cols, rows)]).max(axis=1)
+
+
+def _mic_pairs(
+    data: np.ndarray,
+    pairs: list[tuple[int, int]],
+    params: MICParameters,
+) -> np.ndarray:
+    """MIC of each listed column pair of a window, in batched passes.
+
+    One *item* is an ordered pair ``(x, y)`` together with one entry of
+    ``y``'s plan; a pair's MIC is the best normalised score over the items
+    of both its orientations.  Items are scored in chunks whose scratch
+    fits :data:`_CHUNK_BYTES`, every step an array operation over the
+    chunk.  Only the superclump walk runs per item, and only for items
+    with more clumps than their ``k_hat``.
+
+    Args:
+        data: ``(n, m)`` window.  Every column named in ``pairs`` must be
+            finite and non-constant, and ``n >= 4``.
+        pairs: column index pairs ``(i, j)`` with ``i != j``.
+        params: tuning constants.
+
+    Returns:
+        MIC score of each pair, in ``pairs`` order.
+    """
+    best = np.zeros(len(pairs))
+    if not pairs:
+        return best
+    n = data.shape[0]
+    budget = params.budget(n)
+    used = sorted({col for pair in pairs for col in pair})
+    local = {col: idx for idx, col in enumerate(used)}
+    preps = [prepare_column(data[:, col], budget, params) for col in used]
+
+    # Per-column and per-plan-entry tables, indexed by item.
+    order = np.stack([p.order for p in preps])
+    tied = np.stack([p.tied for p in preps])
+    first = np.stack([p.first for p in preps])
+    last = np.stack([p.last for p in preps])
+    entries = [entry for p in preps for entry in p.plan]
+    q_all = np.stack([entry[1] for entry in entries])
+    e_cols = np.array([entry[0] for entry in entries], dtype=np.intp)
+    e_rows = np.array([entry[2] for entry in entries], dtype=np.intp)
+    e_hq = np.array([entry[3] for entry in entries])
+    e_khat = np.maximum(params.clumps_factor * e_cols, 2)
+    per_col = np.array([len(p.plan) for p in preps], dtype=np.intp)
+    col_start = np.cumsum(per_col) - per_col
+
+    # Items: both orientations of every pair, times the y column's plan.
+    pair_x = np.array([local[i] for i, _ in pairs], dtype=np.intp)
+    pair_y = np.array([local[j] for _, j in pairs], dtype=np.intp)
+    xs = np.concatenate((pair_x, pair_y))
+    ys = np.concatenate((pair_y, pair_x))
+    owner = np.tile(np.arange(len(pairs)), 2)
+    counts = per_col[ys]
+    item_x = np.repeat(xs, counts)
+    item_pair = np.repeat(owner, counts)
+    item_e = np.repeat(col_start[ys] - (np.cumsum(counts) - counts), counts)
+    item_e += np.arange(item_e.size)
+    # Group items by DP length and row count, both fixed by the plan
+    # entry, so the chunks cut from a pass are rarely split by group.
+    group = np.lexsort((e_rows[item_e], e_cols[item_e]))
+    item_x, item_e, item_pair = item_x[group], item_e[group], item_pair[group]
+
+    nlogn = _nlogn_table(n)
+    logs = _log_table(max(int(e_cols.max()), int(e_rows.max())) + 1)
+    scratch = _Scratch()
+    # Clump boundaries for a pass of items at a time (their (c, n) arrays
+    # fit the budget).  Then gain matrices and DP for chunks of items that
+    # share a DP length and row count, widest first: a chunk pads each
+    # item only up to its own widest, and runs only its own DP steps.
+    per_pass = max(1, _CHUNK_BYTES // (_POINT_BYTES * n))
+    for start in range(0, item_e.size, per_pass):
+        ix = item_x[start : start + per_pass]
+        ie = item_e[start : start + per_pass]
+        q_x = q_all[ie[:, None], order[ix]]
+        bnd, k = _batch_boundaries(q_x, tied[ix], first[ix], last[ix])
+        khat = e_khat[ie]
+        for i in np.flatnonzero(k > khat):
+            coarse = _superclumps(bnd[i, : k[i] + 1], n, int(khat[i]))
+            bnd[i, : coarse.size] = coarse
+            bnd[i, coarse.size :] = n
+            k[i] = coarse.size - 1
+        steps = np.minimum(e_cols[ie], k)
+        rows = e_rows[ie]
+        # An item coarsened to a single superclump has no grid of two or
+        # more columns to score.
+        live = np.flatnonzero(steps >= 2)
+        if not live.size:
+            continue
+        by = live[np.lexsort((-k[live], rows[live], steps[live]))]
+        runs = np.flatnonzero(
+            (np.diff(steps[by]) != 0) | (np.diff(rows[by]) != 0)
         )
-        for (cols, rows), mi in entries.items():
-            denom = np.log(min(cols, rows))
-            if denom <= 0:
-                continue
-            score = mi / denom
-            if score > best:
-                best = score
-    return float(min(max(best, 0.0), 1.0))
+        for run in np.split(by, runs + 1):
+            pos = 0
+            while pos < run.size:
+                width = int(k[run[pos]]) + 1
+                size = max(1, _CHUNK_BYTES // (_CELL_BYTES * width * width))
+                sel = run[pos : pos + size]
+                pos += size
+                e = ie[sel]
+                scores = _chunk_scores(
+                    q_x[sel], bnd[sel, :width], k[sel], e_cols[e],
+                    int(rows[sel[0]]), e_hq[e], nlogn, logs, scratch,
+                )
+                np.maximum.at(best, item_pair[start + sel], scores)
+    return np.minimum(best, 1.0)
 
 
 def mic(
@@ -533,10 +655,7 @@ def mic(
     # repro: disable=float-equality — exact zero range is the degenerate case
     if np.ptp(xa) == 0.0 or np.ptp(ya) == 0.0:
         return 0.0
-    budget = params.budget(n)
-    prep_x = prepare_column(xa, budget, params)
-    prep_y = prepare_column(ya, budget, params)
-    return _mic_prepared(prep_x, prep_y, n, params, _nlogn_table(n))
+    return float(_mic_pairs(np.column_stack((xa, ya)), [(0, 1)], params)[0])
 
 
 def mic_matrix(
@@ -546,9 +665,8 @@ def mic_matrix(
 ) -> np.ndarray:
     """Pairwise MIC over the columns of a samples-by-metrics array.
 
-    Delegates to the shared-precompute engine in
-    :mod:`repro.stats.micfast`, which computes each column's sort order
-    and equipartition family once and reuses them across all pairs.
+    Delegates to :func:`repro.stats.micfast.mic_matrix_fast`, which scores
+    every pair of sharable columns in one call of the batched kernel.
 
     Args:
         data: array of shape ``(n_samples, n_metrics)``.

@@ -1,26 +1,28 @@
-"""Shared-precompute MIC engine for association matrices.
+"""Association matrices on the batched MIC kernel.
 
 Computing an association matrix the naive way pays the full MINE cost —
 argsort, y-axis equipartition family, clump construction, dynamic
-programme — for every one of the M(M-1)/2 metric pairs, even though the
-argsort and the equipartition family depend on a *single* column.  This
-module amortises that per-column work across all M-1 pairs a column
-appears in, and adds two orthogonal accelerators:
+programme — separately for every one of the M(M-1)/2 metric pairs.  This
+module hands every pair of sharable columns to the batched kernel of
+:mod:`repro.stats.mic` in one call: each column's precompute is built
+once, and the per-pair work runs as array operations over chunks of
+(pair x grid) items.  Two orthogonal accelerators sit on top:
 
 - an optional ``concurrent.futures`` process pool over the pair list
   (``max_workers``), with an automatic serial fallback when a pool cannot
-  be created — results are identical either way, workers just redo the
-  column precompute for their own slice of pairs;
+  be created — results are identical either way, each worker runs the
+  same kernel on its own slice of pairs;
 - a content-hash LRU cache of whole association matrices
   (:class:`AssociationCache`), so an online monitor re-scoring an
   unchanged window, or a batch pipeline revisiting a run, never recomputes
   an identical input.
 
 Equivalence contract: for every pair, the engine returns *exactly* the
-value of :func:`repro.stats.mic.mic` on the two columns.  Pairs where the
-shared precompute does not apply — a column with NaNs (masking is
-pairwise), a constant column, or fewer than 4 samples — fall back to the
-scalar path, which handles them natively.
+value of :func:`repro.stats.mic.mic` on the two columns.  Pairs with a
+non-sharable member — a column with NaNs (masking is pairwise), a
+constant column, or fewer than 4 samples — are scored by the scalar
+:func:`~repro.stats.mic.mic`, which runs the same kernel on the masked
+two-column window.
 """
 
 from __future__ import annotations
@@ -34,15 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 import repro.obs as obs
-from repro.stats.mic import (
-    MICParameters,
-    _DEFAULT_PARAMS,
-    _mic_prepared,
-    _nlogn_table,
-    _Workspace,
-    mic,
-    prepare_column,
-)
+from repro.stats.mic import MICParameters, _DEFAULT_PARAMS, _mic_pairs, mic
 
 __all__ = [
     "mic_matrix_fast",
@@ -76,76 +70,68 @@ def resolve_workers(max_workers: int | None) -> int:
     return workers
 
 
-class _PrepTable:
-    """Lazy per-column :class:`~repro.stats.mic.ColumnPrep` store.
+def _sharable_columns(arr: np.ndarray) -> np.ndarray:
+    """Mask of the columns the batched kernel can score together.
 
-    A column is *sharable* when the fast path applies to it: all values
-    finite (so the pairwise NaN mask never fires), non-constant, and at
-    least 4 samples.  Pairs with a non-sharable member use the scalar
-    :func:`~repro.stats.mic.mic`, which is also the cheap path for them
-    (constants short-circuit to 0.0; NaN masking must be pairwise anyway).
+    A column is *sharable* when it is all finite (so the pairwise NaN
+    mask never fires), non-constant, and the window has at least 4
+    samples.  Pairs with a non-sharable member go through the scalar
+    :func:`~repro.stats.mic.mic`, which masks NaNs pairwise and
+    short-circuits constants to 0.0.
     """
-
-    def __init__(self, arr: np.ndarray, params: MICParameters) -> None:
-        self.arr = arr
-        self.params = params
-        n, m = arr.shape
-        self.n = n
-        self.budget = params.budget(n)
-        self.sharable = np.zeros(m, dtype=bool)
-        if n >= 4 and m:
-            finite = np.isfinite(arr).all(axis=0)
-            if finite.any():
-                self.sharable[finite] = np.ptp(arr[:, finite], axis=0) > 0
-        self.nlogn = _nlogn_table(n) if self.sharable.any() else None
-        self._work = _Workspace()
-        self._preps: dict[int, object] = {}
-
-    def _prep(self, idx: int):
-        prep = self._preps.get(idx)
-        if prep is None:
-            prep = prepare_column(self.arr[:, idx], self.budget, self.params)
-            self._preps[idx] = prep
-        return prep
-
-    def pair_score(self, i: int, j: int) -> float:
-        """MIC of columns ``i`` and ``j``, sharing precompute when valid."""
-        if self.sharable[i] and self.sharable[j]:
-            return _mic_prepared(
-                self._prep(i),
-                self._prep(j),
-                self.n,
-                self.params,
-                self.nlogn,
-                self._work,
-            )
-        return mic(self.arr[:, i], self.arr[:, j], self.params)
+    n, m = arr.shape
+    sharable = np.zeros(m, dtype=bool)
+    if n >= 4 and m:
+        finite = np.isfinite(arr).all(axis=0)
+        if finite.any():
+            sharable[finite] = np.ptp(arr[:, finite], axis=0) > 0
+    return sharable
 
 
-# Per-process state of pool workers, set once by the pool initializer so
-# each worker builds its column precompute at most once per column.
-_WORKER_TABLE: _PrepTable | None = None
+def _score_pairs(
+    arr: np.ndarray,
+    params: MICParameters,
+    pairs: list[tuple[int, int]],
+) -> list[tuple[int, int, float]]:
+    """MIC of each pair: sharable pairs in one batched kernel call."""
+    sharable = _sharable_columns(arr)
+    batched = [(i, j) for i, j in pairs if sharable[i] and sharable[j]]
+    scores = dict(zip(batched, _mic_pairs(arr, batched, params).tolist()))
+    for i, j in pairs:
+        if (i, j) not in scores:
+            scores[i, j] = mic(arr[:, i], arr[:, j], params)
+    return [(i, j, scores[i, j]) for i, j in pairs]
+
+
+# Per-process state of pool workers, set once by the pool initializer.
+_WORKER_WINDOW: tuple[np.ndarray, MICParameters] | None = None
 
 
 def _pool_init(arr: np.ndarray, params: MICParameters) -> None:
-    global _WORKER_TABLE
-    _WORKER_TABLE = _PrepTable(arr, params)
+    global _WORKER_WINDOW
+    _WORKER_WINDOW = (arr, params)
 
 
 def _pool_chunk(
     pairs: list[tuple[int, int]],
 ) -> list[tuple[int, int, float]]:
-    table = _WORKER_TABLE
-    if table is None:
+    if _WORKER_WINDOW is None:
         raise RuntimeError("MIC pool worker used before initialisation")
-    return [(i, j, table.pair_score(i, j)) for i, j in pairs]
+    arr, params = _WORKER_WINDOW
+    return _score_pairs(arr, params, pairs)
 
 
 def _chunk_pairs(
     pairs: list[tuple[int, int]], workers: int
 ) -> list[list[tuple[int, int]]]:
-    """Strided split so long and short pairs spread across chunks."""
-    n_chunks = max(1, min(len(pairs), workers * 4))
+    """One strided slice of pairs per worker.
+
+    Each chunk re-prepares the columns its pairs use, and a strided slice
+    touches nearly all of them, so more chunks than workers would only
+    repeat that precompute; the batched kernel leaves no per-pair
+    imbalance to spread.
+    """
+    n_chunks = max(1, min(len(pairs), workers))
     return [pairs[c::n_chunks] for c in range(n_chunks)]
 
 
@@ -213,8 +199,7 @@ def mic_matrix_fast(
             scores = _parallel_scores(arr, params, pairs, workers)
         parallel = scores is not None
         if scores is None:
-            table = _PrepTable(arr, params)
-            scores = [(i, j, table.pair_score(i, j)) for i, j in pairs]
+            scores = _score_pairs(arr, params, pairs)
         if sp:
             sp.set(
                 pairs=len(pairs),

@@ -166,16 +166,19 @@ def _half_characteristic_requested_keying(x, y, budget, params):
     """The pre-fix half-characteristic: entries keyed by the *requested*
     row count even when ties collapse the equipartition to fewer rows.
 
-    Reimplemented from the module's own kernels so the regression test can
-    compare the shipped (realised-keyed) score against what the buggy
-    normalisation would have produced on the same data.  No equipartition
-    deduplication here: under requested keying, two row counts with the
-    same collapsed assignment land in *different* characteristic cells.
+    Rebuilt from the module's own batched kernels (one item per requested
+    row count) so the regression test can compare the shipped
+    (realised-keyed) score against what the buggy normalisation would have
+    produced on the same data.  No equipartition deduplication here: under
+    requested keying, two row counts with the same collapsed assignment
+    land in *different* characteristic cells.
     """
     n = x.size
     order_x = np.argsort(x, kind="stable")
     order_y = np.argsort(y, kind="stable")
-    x_sorted = x[order_x]
+    tied, first, last = (
+        a[None, :] for a in _MIC_MOD._tie_structure(x[order_x])
+    )
     y_sorted = y[order_y]
     nlogn = _MIC_MOD._nlogn_table(n)
     entries = {}
@@ -189,16 +192,20 @@ def _half_characteristic_requested_keying(x, y, budget, params):
             continue
         q = np.empty(n, dtype=np.int64)
         q[order_y] = q_sorted
-        q_x = q[order_x]
-        boundaries = _MIC_MOD._clumps(x_sorted, q_x)
+        q_x = q[order_x][None, :]
+        bnd, k = _MIC_MOD._batch_boundaries(q_x, tied, first, last)
         k_hat = max(params.clumps_factor * max_cols, 2)
-        boundaries = _MIC_MOD._superclumps(boundaries, n, k_hat)
-        k = boundaries.size - 1
-        cum = _MIC_MOD._cum_counts(q_x, boundaries, realised)
-        probs = cum[-1].astype(float) / n
+        bnd = _MIC_MOD._superclumps(bnd[0, : k[0] + 1], n, k_hat)[None, :]
+        k = np.array([bnd.shape[1] - 1])
+        cum = _MIC_MOD._batch_cum_counts(q_x, bnd, realised)
+        probs = cum[0, :, -1].astype(float) / n
         h_q = -float(np.sum(probs[probs > 0] * np.log(probs[probs > 0])))
-        g = _MIC_MOD._optimize_axis(cum, n, max_cols, nlogn)
-        for cols in range(2, min(max_cols, k) + 1):
+        scratch = _MIC_MOD._Scratch()
+        gains = _MIC_MOD._batch_entropy_gains(bnd, cum, nlogn, scratch)
+        g = _MIC_MOD._batch_optimize_axis(
+            gains, k, np.array([max_cols]), scratch
+        )[0]
+        for cols in range(2, min(max_cols, int(k[0])) + 1):
             if not np.isfinite(g[cols]):
                 continue
             mi = h_q + g[cols] / n
@@ -286,15 +293,15 @@ class TestTieCollapseNormalisation:
 
     def test_binary_y_entries_keyed_by_realised_rows(self, rng):
         """A binary column can only ever realise 2 rows, whatever was
-        requested — every characteristic entry must say so."""
+        requested — every plan entry the kernel normalises by must say so."""
         x = rng.uniform(0, 1, 150)
         y = (x > 0.4).astype(float)
         params = MICParameters()
-        entries = _MIC_MOD._half_characteristic(
-            x, y, params.budget(x.size), params
-        )
-        assert entries  # the sweep requested row counts well above 2
-        assert all(rows == 2 for (_cols, rows) in entries)
+        plan = _MIC_MOD.prepare_column(y, params.budget(x.size), params).plan
+        # The sweep requested row counts well above 2; the column budgets
+        # differ, so the collapsed assignments stay distinct entries.
+        assert len(plan) > 1
+        assert all(rows == 2 for (_cols, _q, rows, _h) in plan)
 
     def test_sparse_binary_normalised_by_realised_grid(self):
         """90%-zeros metric perfectly associated with its own indicator:

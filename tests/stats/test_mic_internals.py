@@ -3,7 +3,9 @@
 These target the parts of the MINE approximation where subtle bugs hide:
 bin balancing under ties, clump atomicity for repeated x values, the
 superclump coarsening bound and the dynamic programme's optimality on
-small cases that can be brute-forced.
+small cases that can be brute-forced.  The clump and DP kernels are
+batched; single-item cases go through them as a batch of one, and the
+padding rules are checked by scoring items together and alone.
 """
 
 import importlib
@@ -13,6 +15,33 @@ import numpy as np
 import pytest
 
 _mic = importlib.import_module("repro.stats.mic")
+
+
+def _clumps(x_sorted, q_by_xorder):
+    """Clump boundaries of one item through the batched kernel."""
+    tied, first, last = _mic._tie_structure(np.asarray(x_sorted, float))
+    bnd, k = _mic._batch_boundaries(
+        np.asarray(q_by_xorder, dtype=np.int64)[None, :],
+        tied[None, :], first[None, :], last[None, :],
+    )
+    return bnd[0, : k[0] + 1]
+
+
+def _optimize_axis(cum, n, max_cols):
+    """Single-item DP through the batched kernel.
+
+    ``cum`` is the ``(k+1, rows)`` cumulative count table of one item.
+    """
+    cum = np.asarray(cum, dtype=np.intp)
+    scratch = _mic._Scratch()
+    gains = _mic._batch_entropy_gains(
+        cum.sum(axis=1)[None, :], np.ascontiguousarray(cum.T)[None],
+        _mic._nlogn_table(n), scratch,
+    )
+    k = np.array([cum.shape[0] - 1])
+    return _mic._batch_optimize_axis(
+        gains, k, np.array([max_cols]), scratch
+    )[0]
 
 
 class TestEquipartition:
@@ -52,26 +81,26 @@ class TestClumps:
     def test_clean_split_two_clumps(self):
         x = np.arange(6, dtype=float)
         q = np.array([0, 0, 0, 1, 1, 1])
-        boundaries = _mic._clumps(x, q)
+        boundaries = _clumps(x, q)
         assert list(boundaries) == [0, 3, 6]
 
     def test_alternating_rows_many_clumps(self):
         x = np.arange(6, dtype=float)
         q = np.array([0, 1, 0, 1, 0, 1])
-        boundaries = _mic._clumps(x, q)
+        boundaries = _clumps(x, q)
         assert len(boundaries) - 1 == 6
 
     def test_x_ties_with_mixed_rows_are_atomic(self):
         x = np.array([0.0, 1.0, 1.0, 2.0])
         q = np.array([0, 0, 1, 1])
-        boundaries = _mic._clumps(x, q)
+        boundaries = _clumps(x, q)
         # the tied block at x=1 spans rows 0 and 1 -> its own clump
         assert 1 in boundaries and 3 in boundaries
 
     def test_covers_all_points(self, rng):
         x = np.sort(rng.normal(size=40))
         q = (rng.random(40) > 0.5).astype(np.int64)
-        boundaries = _mic._clumps(x, q)
+        boundaries = _clumps(x, q)
         assert boundaries[0] == 0
         assert boundaries[-1] == 40
         assert np.all(np.diff(boundaries) > 0)
@@ -123,7 +152,7 @@ class TestDynamicProgramme:
         onehot = np.zeros((n + 1, rows), dtype=np.int64)
         np.add.at(onehot[1:], (np.arange(n), q_x), 1)
         cum = np.cumsum(onehot, axis=0)[boundaries]
-        g = _mic._optimize_axis(cum, n, cols)
+        g = _optimize_axis(cum, n, cols)
         assert g[cols] == pytest.approx(
             self._brute_force(q_x, cols, rows), abs=1e-9
         )
@@ -135,7 +164,7 @@ class TestDynamicProgramme:
         onehot = np.zeros((n + 1, rows), dtype=np.int64)
         np.add.at(onehot[1:], (np.arange(n), q_x), 1)
         cum = np.cumsum(onehot, axis=0)[boundaries]
-        g = _mic._optimize_axis(cum, n, 5)
+        g = _optimize_axis(cum, n, 5)
         finite = [v for v in g[1:] if np.isfinite(v)]
         assert all(b >= a - 1e-9 for a, b in zip(finite, finite[1:]))
 
@@ -145,5 +174,63 @@ class TestDynamicProgramme:
         onehot = np.zeros((7, 2), dtype=np.int64)
         np.add.at(onehot[1:], (np.arange(6), q_x), 1)
         cum = np.cumsum(onehot, axis=0)[boundaries]
-        g = _mic._optimize_axis(cum, 6, 2)
+        g = _optimize_axis(cum, 6, 2)
         assert g[2] == pytest.approx(0.0, abs=1e-12)  # H(Q|P) = 0
+
+
+class TestBatchPadding:
+    """Items scored together equal the same items scored alone, bit for
+    bit: padded boundaries repeat ``n`` and padded rows count zero."""
+
+    def _items(self, rng, n, rows_list):
+        q_x = [rng.integers(0, r, n).astype(np.int64) for r in rows_list]
+        x = np.sort(rng.normal(size=n))
+        x[5:9] = x[5]  # a tie group, mixed in some items
+        return x, q_x
+
+    def test_batched_dp_equals_single_items(self, rng):
+        n = 24
+        x, q_x = self._items(rng, n, [2, 3, 2, 4])
+        tied, first, last = _mic._tie_structure(x)
+        batch = np.stack(q_x)
+        c = batch.shape[0]
+        bnd, k = _mic._batch_boundaries(
+            batch, *(np.broadcast_to(a, (c, n)) for a in (tied, first, last))
+        )
+        nlogn = _mic._nlogn_table(n)
+        scratch = _mic._Scratch()
+        cum = _mic._batch_cum_counts(batch, bnd, 4)
+        gains = _mic._batch_entropy_gains(bnd, cum, nlogn, scratch)
+        max_cols = np.array([4, 3, 5, 2])
+        together = _mic._batch_optimize_axis(gains, k, max_cols, scratch)
+        for i, q in enumerate(q_x):
+            rows = int(q.max()) + 1
+            b1, k1 = _mic._batch_boundaries(
+                q[None], tied[None], first[None], last[None]
+            )
+            assert np.array_equal(b1[0], bnd[i, : k[i] + 1])
+            one = _mic._Scratch()
+            c1 = _mic._batch_cum_counts(q[None], b1, rows)
+            g1 = _mic._batch_entropy_gains(b1, c1, nlogn, one)
+            alone = _mic._batch_optimize_axis(g1, k1, max_cols[i:i + 1], one)
+            width = alone.shape[1]
+            assert np.array_equal(together[i, :width], alone[0])
+            assert np.all(together[i, width:] == -np.inf)
+
+    def test_padded_cells_are_minus_inf(self, rng):
+        n = 20
+        q_x = np.stack([
+            np.repeat([0, 1], 10),  # two clumps
+            rng.integers(0, 2, n),  # many clumps
+        ]).astype(np.int64)
+        untied = np.zeros_like(q_x, dtype=bool)
+        positions = np.broadcast_to(np.arange(n), q_x.shape)
+        bnd, k = _mic._batch_boundaries(q_x, untied, positions, positions)
+        assert k[0] == 2 and k[1] > 2
+        assert np.all(bnd[0, 3:] == n)
+        cum = _mic._batch_cum_counts(q_x, bnd, 2)
+        gains = _mic._batch_entropy_gains(
+            bnd, cum, _mic._nlogn_table(n), _mic._Scratch()
+        )
+        # Every cell between padded boundaries has no points.
+        assert np.all(gains[0, 2:, 2:] == -np.inf)

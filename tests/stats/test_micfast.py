@@ -1,4 +1,4 @@
-"""Tests for the shared-precompute MIC engine and its cache."""
+"""Tests for the association-matrix front of the MIC engine and its cache."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ import pytest
 from repro.stats.mic import MICParameters, mic
 from repro.stats.micfast import (
     AssociationCache,
-    _PrepTable,
+    _score_pairs,
+    _sharable_columns,
     association_cache,
     cached_mic_matrix,
     clear_association_cache,
@@ -71,28 +72,50 @@ class TestEngineEquivalence:
 
 
 class TestPrepTable:
+    """Which columns share the batched kernel, and how often each
+    column's precompute is built."""
+
     def test_sharable_mask(self, rng):
         data = _mixed_window(rng)
-        table = _PrepTable(data, MICParameters())
         # base, coupled, tied, noise are sharable; constant and NaN not.
-        assert table.sharable.tolist() == [
+        assert _sharable_columns(data).tolist() == [
             True, True, True, False, False, True,
         ]
 
-    def test_nothing_sharable_when_too_short(self, rng):
-        table = _PrepTable(rng.normal(size=(3, 4)), MICParameters())
-        assert not table.sharable.any()
-        assert table.nlogn is None
+    def test_nothing_sharable_when_too_short(self, rng, monkeypatch):
+        import importlib
 
-    def test_preps_built_lazily_and_reused(self, rng):
+        mic_mod = importlib.import_module("repro.stats.mic")
+        data = rng.normal(size=(3, 4))
+        assert not _sharable_columns(data).any()
+
+        def boom(n):  # pragma: no cover - must not run
+            raise AssertionError("kernel tables built for a tiny window")
+
+        monkeypatch.setattr(mic_mod, "_nlogn_table", boom)
+        scores = _score_pairs(data, MICParameters(), [(0, 1), (2, 3)])
+        assert [s for _, _, s in scores] == [0.0, 0.0]
+
+    def test_preps_built_lazily_and_reused(self, rng, monkeypatch):
+        import importlib
+
+        mic_mod = importlib.import_module("repro.stats.mic")
+        built = []
+        real = mic_mod.prepare_column
+
+        def counting(values, budget, params=None):
+            built.append(values.tobytes())
+            return real(values, budget, params)
+
+        monkeypatch.setattr(mic_mod, "prepare_column", counting)
         data = rng.uniform(0, 1, size=(40, 3))
-        table = _PrepTable(data, MICParameters())
-        assert not table._preps
-        table.pair_score(0, 1)
-        assert set(table._preps) == {0, 1}
-        first = table._preps[0]
-        table.pair_score(0, 2)
-        assert table._preps[0] is first
+        _score_pairs(data, MICParameters(), [(0, 1)])
+        # Only the columns the pairs name are prepared.
+        assert built == [data[:, 0].tobytes(), data[:, 1].tobytes()]
+        built.clear()
+        _score_pairs(data, MICParameters(), [(0, 1), (0, 2)])
+        # Column 0 serves both pairs from one precompute.
+        assert built == [data[:, c].tobytes() for c in range(3)]
 
 
 class TestWorkersKnob:
@@ -220,3 +243,28 @@ class TestAssociationCache:
     def test_rejects_1d(self, rng):
         with pytest.raises(ValueError):
             cached_mic_matrix(rng.normal(size=20), cache=AssociationCache())
+
+
+class TestScratchBudget:
+    """One association matrix's memory peak is set by the kernel's byte
+    budget, not by the number of (pair x grid) items in the window."""
+
+    #: Allowance beyond the chunk budget: the column precompute and item
+    #: tables (~150 KiB at 30x26), the boundary pass's (c, n) arrays
+    #: (sized from the same budget) and the per-chunk DP tables.
+    SLACK = 512 * 1024
+
+    def test_pipeline_window_peak_within_budget(self, rng):
+        import importlib
+        import tracemalloc
+
+        mic_mod = importlib.import_module("repro.stats.mic")
+        data = rng.normal(size=(30, 26))
+        mic_matrix_fast(data[:8, :3])  # warm imports and lazy tables
+        tracemalloc.start()
+        try:
+            mic_matrix_fast(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mic_mod._CHUNK_BYTES + self.SLACK
