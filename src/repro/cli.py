@@ -80,6 +80,11 @@ import repro.obs as obs
 from repro.cluster import HadoopCluster
 from repro.cluster.workloads import WORKLOADS
 from repro.core import InvarNetX, InvarNetXConfig, OperationContext
+from repro.core.persistence import (
+    MANIFEST_NAME,
+    canonical_json,
+    committed_dirs,
+)
 from repro.faults.spec import ALL_FAULTS, FaultSpec, build_fault
 from repro.store import DirectoryStore
 from repro.telemetry.io import load_run_npz, save_node_csv, save_run_npz
@@ -782,7 +787,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    if not (args.dir / "manifest.json").exists():
+    if not (args.dir / MANIFEST_NAME).exists():
         print(f"error: no model registry at {args.dir}", file=sys.stderr)
         return 2
     registry = DirectoryStore(args.dir)
@@ -882,7 +887,7 @@ def _describe_entry(entry: dict) -> str:
 
 def _registry_ledger(directory: Path):
     """The (registry, ledger) pair for a CLI path, or an exit code."""
-    if not (directory / "manifest.json").exists():
+    if not (directory / MANIFEST_NAME).exists():
         print(f"error: no model registry at {directory}", file=sys.stderr)
         return 2
     registry = DirectoryStore(directory)
@@ -918,8 +923,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
         incident_summary=incident_summary,
     )
     if args.json:
-        json.dump(report.to_json(), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(canonical_json(report.to_json()))
     else:
         print(report.render_text())
     return 0
@@ -961,8 +965,7 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
             print(f"error: no entry with seq={args.seq}", file=sys.stderr)
             return 2
         entry = matching[-1]
-    json.dump(entry, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(canonical_json(entry))
     return 0
 
 
@@ -1058,8 +1061,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             )
             return 2
         if args.json:
-            json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            sys.stdout.write(canonical_json(manifest))
             return 0
         from repro.eval.registry.run import REPORT_MD
 
@@ -1082,8 +1084,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        json.dump(report.to_json(), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(canonical_json(report.to_json()))
     else:
         sys.stdout.write(report.render_text())
     return 0
@@ -1162,12 +1163,8 @@ def _incidents_root(path: Path) -> Path:
     A directory that itself contains committed bundles wins; otherwise
     a nested ``incidents/`` (the serve default layout) is used.
     """
-    from repro.obs.blackbox import BUNDLE_MANIFEST
-
-    if path.is_dir():
-        for entry in path.iterdir():
-            if entry.is_dir() and (entry / BUNDLE_MANIFEST).is_file():
-                return path
+    if next(committed_dirs(path), None) is not None:
+        return path
     nested = path / "incidents"
     return nested if nested.is_dir() else path
 
@@ -1186,11 +1183,9 @@ def _cmd_incidents(args: argparse.Namespace) -> int:
     incidents = correlate(records, horizon=horizon)
     if args.incidents_action == "list":
         if args.json:
-            json.dump(
-                [i.to_json() for i in incidents],
-                sys.stdout, indent=2, sort_keys=True,
+            sys.stdout.write(
+                canonical_json([i.to_json() for i in incidents])
             )
-            sys.stdout.write("\n")
         else:
             print(render_incident_list(incidents))
         return 0
@@ -1204,8 +1199,7 @@ def _cmd_incidents(args: argparse.Namespace) -> int:
         )
         return 2
     if args.json:
-        json.dump(matching[0].to_json(), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(canonical_json(matching[0].to_json()))
     else:
         print(render_incident_show(matching[0]))
     return 0
@@ -1220,8 +1214,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        json.dump(result.to_json(), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(canonical_json(result.to_json()))
     else:
         print(result.render_text())
     return 0 if result.ok else 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.stats.mic import MICParameters
-from repro.stats.micfast import cached_mic_matrix, mic_matrix_fast
+from repro.stats.micfast import cached_mic_matrix
 from repro.telemetry.metrics import MetricCatalog
 
 __all__ = [
@@ -69,7 +69,6 @@ class AssociationMatrix:
         catalog: MetricCatalog | None = None,
         params: MICParameters | None = None,
         max_workers: int | None = None,
-        use_cache: bool = True,
     ) -> "AssociationMatrix":
         """Compute the matrix from a (ticks, M) sample window.
 
@@ -79,10 +78,9 @@ class AssociationMatrix:
             params: MIC tuning constants.
             max_workers: MIC parallelism knob (None = serial, 0 = all
                 CPUs), forwarded to :mod:`repro.stats.micfast`.
-            use_cache: look the window up in the process-wide
-                content-hash cache before computing (identical windows —
-                e.g. an online monitor re-scoring unchanged samples —
-                then cost one hash instead of a MIC sweep).
+
+        The window is looked up in the process-wide content-hash cache
+        first, so identical windows cost one hash instead of a MIC sweep.
         """
         catalog = catalog or MetricCatalog()
         arr = np.asarray(samples, dtype=float)
@@ -90,10 +88,7 @@ class AssociationMatrix:
             raise ValueError(
                 f"expected (ticks, {len(catalog)}) samples, got {arr.shape}"
             )
-        if use_cache:
-            values = cached_mic_matrix(arr, params, max_workers=max_workers)
-        else:
-            values = mic_matrix_fast(arr, params, max_workers=max_workers)
+        values = cached_mic_matrix(arr, params, max_workers=max_workers)
         return cls(values=values, catalog=catalog)
 
     def score(self, metric_a: str, metric_b: str) -> float:

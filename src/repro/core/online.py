@@ -28,7 +28,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -80,6 +80,16 @@ class DiagnosisEvent:
     def root_cause(self) -> str | None:
         """The top-ranked matched cause, or None."""
         return self.inference.top_cause
+
+    def summary(self) -> dict[str, Any]:
+        """Fields every record of the diagnosis carries (HTTP event,
+        ledger entry, bundle manifest)."""
+        return {
+            "tick": self.tick,
+            "alarm_tick": self.alarm_tick,
+            "cause": self.root_cause,
+            "matched": self.inference.matched,
+        }
 
 
 class OnlineMonitor:
@@ -161,6 +171,11 @@ class OnlineMonitor:
     def detector(self):
         """The armed performance model (read-only; never None)."""
         return self._models.detector
+
+    @property
+    def width(self) -> int:
+        """Metric-row width of the lane (its invariants' catalog)."""
+        return len(self._models.invariants.catalog)
 
     @property
     def tick(self) -> int:

@@ -11,14 +11,21 @@ The paper stores each artifact in XML with fixed tuple schemas:
   workload type)`` (§3.3).
 
 :mod:`xml.etree.ElementTree` is used throughout; files round-trip exactly.
+
+It also holds what every durable directory shares: :func:`canonical_json`
+and the manifest commit point of DESIGN.md §9.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import tempfile
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -30,7 +37,13 @@ from repro.stats.arima import ARIMAModel, ARIMAOrder
 from repro.telemetry.metrics import MetricCatalog
 
 __all__ = [
+    "MANIFEST_NAME",
     "atomic_write_text",
+    "canonical_json",
+    "begin_commit",
+    "commit_manifest",
+    "read_manifest",
+    "committed_dirs",
     "save_performance_model",
     "load_performance_model",
     "save_invariants",
@@ -73,6 +86,68 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def canonical_json(obj: Any) -> str:
+    """The repository's one JSON text form: 2-space indent, sorted keys,
+    trailing newline — equal content always renders to equal bytes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# ----------------------------------------------------------------------
+# the commit point: artifacts first, manifest last
+# ----------------------------------------------------------------------
+#: The commit point of every durable directory.
+MANIFEST_NAME = "manifest.json"
+
+
+def begin_commit(directory: str | Path) -> None:
+    """Start a commit attempt in an empty ``directory``, clearing what it
+    holds: an aborted attempt, or a committed one being overwritten."""
+    shutil.rmtree(directory, ignore_errors=True)
+    Path(directory).mkdir(parents=True)
+
+
+def commit_manifest(directory: str | Path, manifest: dict[str, Any]) -> Path:
+    """Publish ``manifest.json`` — written last, atomically — which
+    makes every artifact written before it visible to readers."""
+    path = Path(directory) / MANIFEST_NAME
+    atomic_write_text(path, canonical_json(manifest))
+    return path
+
+
+def read_manifest(directory: str | Path) -> dict[str, Any] | None:
+    """The committed manifest of ``directory``, or None when it has none.
+
+    Raises:
+        ValueError: the manifest exists but cannot be read as a JSON
+            object (the atomic commit makes this external corruption).
+    """
+    path = Path(directory) / MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except (OSError, ValueError) as exc:
+        raise ValueError(
+            f"corrupt or unreadable manifest {path}: {exc}"
+        ) from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} is not a manifest object")
+    return manifest
+
+
+def committed_dirs(root: str | Path) -> Iterator[tuple[Path, dict[str, Any]]]:
+    """``(directory, manifest)`` for each committed subdirectory of
+    ``root``, in sorted order; aborted attempts are skipped and a
+    missing root yields nothing."""
+    root = Path(root)
+    if not root.is_dir():
+        return
+    for directory in sorted(p for p in root.iterdir() if p.is_dir()):
+        manifest = read_manifest(directory)
+        if manifest is not None:
+            yield directory, manifest
 
 
 def _write(root: ET.Element, path: str | Path) -> None:

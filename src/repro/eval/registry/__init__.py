@@ -11,9 +11,9 @@ and queryable:
   behind each :class:`SystemSpec` label (InvarNet-X, ARX, the
   no-operation-context ablation, a PeerWatch adapter);
 - :mod:`repro.eval.registry.run` — one ``runs/<run_id>/`` directory per
-  execution: atomically-committed ``manifest.json``, ``report.json`` /
-  ``report.md``, per-context JSONL event streams and a ``run_table.csv``
-  with one documented row per system × repetition;
+  execution, committed by its ``manifest.json`` (DESIGN.md §9), with
+  ``report.json`` / ``report.md``, per-context JSONL event streams and a
+  ``run_table.csv`` with one documented row per system × repetition;
 - :mod:`repro.eval.registry.index` — the cross-run SQLite index
   (stdlib ``sqlite3``), upserted on every commit and rebuildable from
   the manifests alone;

@@ -8,17 +8,14 @@ Two layers:
   runners (``run_fig7_tpcds_diagnosis`` and friends) are thin wrappers
   over it.
 - :class:`RunRegistry` makes executions durable: one ``runs/<run_id>/``
-  directory per spec fingerprint with an atomically-committed manifest,
-  an upserted SQLite index and a ``campaign-run`` entry in the
+  directory per spec fingerprint, committed by its manifest (DESIGN.md
+  §9), an upserted SQLite index and a ``campaign-run`` entry in the
   registry's own run ledger.  Re-executing an already-committed spec is
-  a no-op (``skipped=True``) unless forced, and debris from a killed
-  attempt — a run directory without a manifest — is cleared before the
-  re-run, so crashes cost nothing but time.
+  a no-op (``skipped=True``) unless forced.
 """
 
 from __future__ import annotations
 
-import shutil
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,25 +23,30 @@ from typing import Any, Callable, TYPE_CHECKING
 
 from repro.cluster.cluster import HadoopCluster
 from repro.core.context import OperationContext
-from repro.core.persistence import atomic_write_text
+from repro.core.persistence import (
+    atomic_write_text,
+    begin_commit,
+    canonical_json,
+)
 from repro.datagen.campaigns import FaultCampaign
 from repro.obs.ledger import LEDGER_NAME, RunLedger
 from repro.store import ModelStore
 from repro.eval.registry.index import INDEX_NAME, RunIndex
 from repro.eval.registry.run import (
     EVENTS_DIR,
+    REPORT_JSON,
     RUN_FORMAT,
     RUN_TABLE_NAME,
     REPORT_MD,
     SPEC_NAME,
     RunRecorder,
     commit_manifest,
+    committed_manifests,
     format_run_table,
     load_manifest,
     load_report,
     measurement_row,
     render_report_md,
-    write_report,
 )
 from repro.eval.registry.systems import build_system
 
@@ -300,7 +302,7 @@ class RunRegistry:
         (``skipped=True``) — the fingerprint in the run id guarantees it
         was produced by this exact spec.  ``force=True`` discards it and
         re-runs.  An uncommitted directory (a killed earlier attempt) is
-        always cleared first.
+        cleared like any other start of a commit.
 
         Args:
             spec: the campaign to execute.
@@ -309,7 +311,7 @@ class RunRegistry:
             force: re-run even over a committed run.
         """
         run_dir = self.run_dir(spec.run_id)
-        committed = load_manifest(run_dir) if run_dir.exists() else None
+        committed = load_manifest(run_dir)
         if committed is not None and not force:
             return CampaignRun(
                 run_id=spec.run_id,
@@ -317,13 +319,8 @@ class RunRegistry:
                 manifest=committed,
                 skipped=True,
             )
-        if run_dir.exists():
-            shutil.rmtree(run_dir)
-        run_dir.mkdir(parents=True)
-        atomic_write_text(
-            run_dir / SPEC_NAME,
-            _dump_json(spec.to_json()),
-        )
+        begin_commit(run_dir)
+        atomic_write_text(run_dir / SPEC_NAME, canonical_json(spec.to_json()))
 
         events_dir = run_dir / EVENTS_DIR
 
@@ -349,11 +346,12 @@ class RunRegistry:
             "table": table,
             "fault_scores": _fault_score_rows(spec, results),
         }
-        write_report(run_dir, _report_document(spec, results))
+        atomic_write_text(
+            run_dir / REPORT_JSON,
+            canonical_json(_report_document(spec, results)),
+        )
         atomic_write_text(run_dir / REPORT_MD, render_report_md(manifest))
         atomic_write_text(run_dir / RUN_TABLE_NAME, format_run_table(table))
-        # The commit point: everything above is invisible to readers
-        # until this atomic replace lands.
         commit_manifest(run_dir, manifest)
         self.index.upsert(manifest)
         average = _overall_average(table)
@@ -378,16 +376,7 @@ class RunRegistry:
     # ------------------------------------------------------------------
     def manifests(self) -> list[dict[str, Any]]:
         """Committed manifests under ``runs/``, sorted by run id."""
-        if not self.runs_dir.exists():
-            return []
-        out = []
-        for run_dir in sorted(
-            p for p in self.runs_dir.iterdir() if p.is_dir()
-        ):
-            manifest = load_manifest(run_dir)
-            if manifest is not None:
-                out.append(manifest)
-        return out
+        return committed_manifests(self.runs_dir)
 
     def manifest(self, run_id: str) -> dict[str, Any] | None:
         """One committed manifest, or None."""
@@ -410,9 +399,3 @@ def _overall_average(table: list[dict[str, Any]]) -> dict[str, float]:
         "precision": round(sum(r["precision"] for r in table) / n, 6),
         "recall": round(sum(r["recall"] for r in table) / n, 6),
     }
-
-
-def _dump_json(payload: dict[str, Any]) -> str:
-    import json
-
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

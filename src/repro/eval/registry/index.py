@@ -19,10 +19,11 @@ checked for bit-identity.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 from pathlib import Path
 from typing import Any, Iterator
+
+from repro.core.persistence import canonical_json
 
 __all__ = ["INDEX_FORMAT", "INDEX_NAME", "RunIndex"]
 
@@ -205,7 +206,7 @@ class RunIndex:
         Returns:
             Number of committed runs indexed.
         """
-        from repro.eval.registry.run import load_manifest
+        from repro.eval.registry.run import committed_manifests
 
         conn = self._connect()
         try:
@@ -215,17 +216,10 @@ class RunIndex:
                 conn.execute("DELETE FROM runs")
         finally:
             conn.close()
-        count = 0
-        root = Path(runs_root)
-        if not root.exists():
-            return 0
-        for run_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-            manifest = load_manifest(run_dir)
-            if manifest is None:
-                continue  # aborted attempt: events without a commit
+        manifests = committed_manifests(runs_root)
+        for manifest in manifests:
             self.upsert(manifest)
-            count += 1
-        return count
+        return len(manifests)
 
     # ------------------------------------------------------------------
     # queries
@@ -321,4 +315,4 @@ class RunIndex:
             "measurements": ordered(self.measurements()),
             "fault_scores": ordered(self.fault_scores()),
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return canonical_json(payload)

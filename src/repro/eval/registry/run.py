@@ -1,10 +1,7 @@
 """One ``runs/<run_id>/`` directory per campaign execution.
 
-Layout (``manifest.json`` is the commit point — written last, atomically
-via temp + ``os.replace``, the same discipline as
-:class:`~repro.store.DirectoryStore`; a killed campaign leaves event
-streams behind but never a partial manifest, so readers treat a
-directory without a manifest as an aborted attempt):
+Layout (``manifest.json`` is the commit point of DESIGN.md §9; a killed
+campaign leaves event streams behind but never a manifest):
 
 .. code-block:: text
 
@@ -32,7 +29,12 @@ from pathlib import Path
 from typing import Any
 from urllib.parse import quote
 
-from repro.core.persistence import atomic_write_text
+from repro.core.persistence import (
+    MANIFEST_NAME,
+    commit_manifest,
+    committed_dirs,
+    read_manifest,
+)
 
 __all__ = [
     "EVENTS_DIR",
@@ -45,6 +47,7 @@ __all__ = [
     "SPEC_NAME",
     "RunRecorder",
     "commit_manifest",
+    "committed_manifests",
     "format_run_table",
     "load_manifest",
     "load_report",
@@ -52,7 +55,6 @@ __all__ = [
     "render_report_md",
 ]
 
-MANIFEST_NAME = "manifest.json"
 REPORT_JSON = "report.json"
 REPORT_MD = "report.md"
 RUN_TABLE_NAME = "run_table.csv"
@@ -241,39 +243,25 @@ def render_report_md(manifest: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dump_json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_report(run_dir: str | Path, report: dict[str, Any]) -> None:
-    """Atomically write ``report.json`` (sorted keys)."""
-    atomic_write_text(Path(run_dir) / REPORT_JSON, _dump_json(report))
-
-
-def commit_manifest(run_dir: str | Path, manifest: dict[str, Any]) -> Path:
-    """Atomically publish ``manifest.json`` — the run's commit point."""
-    path = Path(run_dir) / MANIFEST_NAME
-    atomic_write_text(path, _dump_json(manifest))
-    return path
+def _checked(manifest: dict[str, Any], where: Path) -> dict[str, Any]:
+    if "run_id" not in manifest:
+        raise ValueError(f"{where / MANIFEST_NAME} is not a run manifest")
+    return manifest
 
 
 def load_manifest(run_dir: str | Path) -> dict[str, Any] | None:
-    """The committed manifest of a run directory, or None.
+    """The committed manifest of a run directory, or None for an
+    aborted attempt; raises ``ValueError`` for an unreadable one."""
+    manifest = read_manifest(run_dir)
+    return None if manifest is None else _checked(manifest, Path(run_dir))
 
-    Returns None for an absent manifest (an aborted attempt); raises
-    ``ValueError`` for a present-but-unreadable one, which the atomic
-    commit discipline makes impossible short of external corruption.
-    """
-    path = Path(run_dir) / MANIFEST_NAME
-    if not path.exists():
-        return None
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt run manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict) or "run_id" not in manifest:
-        raise ValueError(f"{path} is not a run manifest")
-    return manifest
+
+def committed_manifests(runs_root: str | Path) -> list[dict[str, Any]]:
+    """Every committed run manifest under ``runs/``, by run id."""
+    return [
+        _checked(manifest, run_dir)
+        for run_dir, manifest in committed_dirs(runs_root)
+    ]
 
 
 def load_report(run_dir: str | Path) -> dict[str, Any] | None:

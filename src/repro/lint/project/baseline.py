@@ -117,7 +117,8 @@ def write_baseline(
             {"path": p, "rule": r, "message": m} for p, r, m in keys
         ],
     }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # imported here: the linter's own modules stay pure-stdlib
+    from repro.core.persistence import atomic_write_text, canonical_json
+
+    atomic_write_text(path, canonical_json(doc))
     return len(keys)

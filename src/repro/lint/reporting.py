@@ -24,8 +24,6 @@ JSON schema (version 2)::
 
 from __future__ import annotations
 
-import json
-
 from repro.lint.model import LintReport
 from repro.lint.registry import all_rules
 
@@ -78,7 +76,10 @@ def render_json(report: LintReport) -> str:
             "ok": report.ok,
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    # imported here: the linter's own modules stay pure-stdlib
+    from repro.core.persistence import canonical_json
+
+    return canonical_json(doc).rstrip("\n")
 
 
 def render(report: LintReport, fmt: str) -> str:

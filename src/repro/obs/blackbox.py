@@ -17,11 +17,8 @@ state-machine transitions and model revision that produced the diagnosis
   content-fingerprinted ``incidents/<id>/`` directory holding the flight
   ring, the abnormal window, the inference report, the
   :func:`~repro.obs.explain.explain_window` evidence, the context's model
-  artifacts, and environment/config fingerprints.  The manifest is
-  written *last* via :func:`~repro.core.persistence.atomic_write_text` —
-  the same commit-point pattern as :class:`~repro.store.DirectoryStore`
-  and the campaign registry: a bundle directory without ``manifest.json``
-  is an aborted attempt and is never read.
+  artifacts, and environment/config fingerprints, committed by its
+  manifest (DESIGN.md §9).
 
 - :func:`replay_bundle` — re-runs detection and diagnosis *from the
   bundle alone* (the models travel inside it) and asserts the reproduced
@@ -51,7 +48,14 @@ import numpy as np
 from repro.core.anomaly import ThresholdRule
 from repro.core.context import OperationContext
 from repro.core.online import DiagnosisEvent
-from repro.core.persistence import atomic_write_text
+from repro.core.persistence import (
+    MANIFEST_NAME,
+    atomic_write_text,
+    begin_commit,
+    canonical_json,
+    commit_manifest,
+    read_manifest,
+)
 from repro.core.pipeline import InvarNetX, InvarNetXConfig
 from repro.obs.ledger import config_fingerprint
 from repro.telemetry.metrics import MetricCatalog
@@ -77,7 +81,7 @@ __all__ = [
 BUNDLE_FORMAT = 1
 
 #: The commit point: a bundle directory without it is an aborted attempt.
-BUNDLE_MANIFEST = "manifest.json"
+BUNDLE_MANIFEST = MANIFEST_NAME
 
 #: Default flight-ring length — comfortably covers the abnormal window
 #: (24 ticks) plus the lead-in and the pre-alarm monitoring history.
@@ -115,14 +119,7 @@ class TickRecord:
     request_id: str = ""
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "tick": self.tick,
-            "metrics": list(self.metrics),
-            "cpi": self.cpi,
-            "verdict": self.verdict,
-            "state": self.state,
-            "request_id": self.request_id,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "TickRecord":
@@ -145,7 +142,7 @@ class TransitionRecord:
     dst: str
 
     def to_json(self) -> dict[str, Any]:
-        return {"tick": self.tick, "src": self.src, "dst": self.dst}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "TransitionRecord":
@@ -167,13 +164,7 @@ class FlightSnapshot:
     transitions: tuple[TransitionRecord, ...]
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "context": list(self.context),
-            "capacity": self.capacity,
-            "model_revision": self.model_revision,
-            "ticks": [t.to_json() for t in self.ticks],
-            "transitions": [t.to_json() for t in self.transitions],
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "FlightSnapshot":
@@ -353,13 +344,6 @@ def _bundle_id(
     return f"inc-{config_fingerprint(payload)}"
 
 
-def _dump_json(path: Path, payload: Any) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 @dataclass(frozen=True)
 class IncidentBundle:
     """A committed ``incidents/<id>/`` directory plus its manifest."""
@@ -407,10 +391,10 @@ def commit_bundle(
 ) -> IncidentBundle:
     """Commit one diagnosis as an incident bundle under ``root``.
 
-    Everything is written first; ``manifest.json`` goes last through
-    :func:`atomic_write_text`, so a crashed commit leaves no readable
-    bundle.  An id already committed (identical incident content) is
-    returned as-is without rewriting.
+    Every file is written atomically and the manifest goes last
+    (DESIGN.md §9), so a crashed commit leaves no readable bundle.  An id
+    already committed (identical incident content) is returned as-is
+    without rewriting.
 
     Args:
         root: the incidents directory (created on demand).
@@ -429,15 +413,11 @@ def commit_bundle(
     window = np.asarray(event.window, dtype=float)
     key = context.key()
     bundle_id = _bundle_id(key, event, window)
-    root = Path(root)
-    bundle_dir = root / bundle_id
-    manifest_path = bundle_dir / BUNDLE_MANIFEST
-    if manifest_path.exists():
-        return IncidentBundle(
-            path=bundle_dir,
-            manifest=json.loads(manifest_path.read_text(encoding="utf-8")),
-        )
-    bundle_dir.mkdir(parents=True, exist_ok=True)
+    bundle_dir = Path(root) / bundle_id
+    existing = read_manifest(bundle_dir)
+    if existing is not None:
+        return IncidentBundle(path=bundle_dir, manifest=existing)
+    begin_commit(bundle_dir)
 
     from repro.obs.explain import explain_window
 
@@ -445,52 +425,42 @@ def commit_bundle(
         pipeline, context, window, top_k=REPLAY_TOP_K,
         request_id=request_id or None,
     )
-    _dump_json(bundle_dir / "flight.json", snapshot.to_json())
-    _dump_json(bundle_dir / "window.json", {"window": window.tolist()})
     inference = event.inference
-    _dump_json(
-        bundle_dir / "report.json",
-        {
-            "tick": event.tick,
-            "alarm_tick": event.alarm_tick,
-            "top_k": REPLAY_TOP_K,
-            "causes": [
-                {"problem": c.problem, "score": float(c.score)}
-                for c in inference.causes
-            ],
-            "matched": inference.matched,
-            "violations": [bool(v) for v in inference.violations],
-            "hints": [list(pair) for pair in inference.hints],
-        },
-    )
-    (bundle_dir / "explain.txt").write_text(
-        explanation.render_text(), encoding="utf-8"
-    )
-    _dump_json(bundle_dir / "explain.json", explanation.to_json())
-    _dump_json(
-        bundle_dir / "environment.json",
-        {
-            "config": _config_to_json(pipeline.config),
-            "config_fingerprint": pipeline.fingerprint,
-            "catalog": list(pipeline.catalog.names),
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            "numpy": np.__version__,
-        },
-    )
+    texts = {
+        "flight.json": canonical_json(snapshot.to_json()),
+        "window.json": canonical_json({"window": window.tolist()}),
+        "report.json": canonical_json(
+            {
+                "tick": event.tick,
+                "alarm_tick": event.alarm_tick,
+                "top_k": REPLAY_TOP_K,
+                "causes": [
+                    {"problem": c.problem, "score": float(c.score)}
+                    for c in inference.causes
+                ],
+                "matched": inference.matched,
+                "violations": [bool(v) for v in inference.violations],
+                "hints": [list(pair) for pair in inference.hints],
+            }
+        ),
+        "explain.txt": explanation.render_text(),
+        "explain.json": canonical_json(explanation.to_json()),
+        "environment.json": canonical_json(
+            {
+                "config": _config_to_json(pipeline.config),
+                "config_fingerprint": pipeline.fingerprint,
+                "catalog": list(pipeline.catalog.names),
+                "python": sys.version.split()[0],
+                "platform": platform.platform(),
+                "numpy": np.__version__,
+            }
+        ),
+    }
+    for name, text in texts.items():
+        atomic_write_text(bundle_dir / name, text)
     model_files = pipeline.save_context(context, bundle_dir / "models")
-    files = sorted(
-        [
-            "flight.json",
-            "window.json",
-            "report.json",
-            "explain.txt",
-            "explain.json",
-            "environment.json",
-        ]
-        + [f"models/{p.name}" for p in model_files]
-    )
     manifest = {
+        **event.summary(),
         "format": BUNDLE_FORMAT,
         "bundle_id": bundle_id,
         "context": {
@@ -498,19 +468,15 @@ def commit_bundle(
             "node_id": context.node_id,
             "ip": context.ip,
         },
-        "alarm_tick": event.alarm_tick,
-        "tick": event.tick,
-        "cause": event.root_cause,
-        "matched": inference.matched,
         "request_id": request_id,
         "model_revision": snapshot.model_revision,
         "config_fingerprint": pipeline.fingerprint,
         "window_sha256": _window_sha256(window),
-        "files": files,
+        "files": sorted(
+            list(texts) + [f"models/{p.name}" for p in model_files]
+        ),
     }
-    atomic_write_text(
-        manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    commit_manifest(bundle_dir, manifest)
     return IncidentBundle(path=bundle_dir, manifest=manifest)
 
 
@@ -523,13 +489,12 @@ def load_bundle(path: str | Path) -> IncidentBundle:
         ValueError: the manifest's format is not readable.
     """
     path = Path(path)
-    manifest_path = path / BUNDLE_MANIFEST
-    if not manifest_path.exists():
+    manifest = read_manifest(path)
+    if manifest is None:
         raise FileNotFoundError(
             f"no committed incident bundle at {path} "
             f"(missing {BUNDLE_MANIFEST})"
         )
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     fmt = int(manifest.get("format", 0))
     if fmt != BUNDLE_FORMAT:
         raise ValueError(
@@ -582,18 +547,7 @@ class ReplayResult:
         return not self.mismatches
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "bundle_id": self.bundle_id,
-            "context": self.context,
-            "passes": self.passes,
-            "ok": self.ok,
-            "causes_match": self.causes_match,
-            "explain_match": self.explain_match,
-            "verdicts_checked": self.verdicts_checked,
-            "verdicts_match": self.verdicts_match,
-            "verdict_note": self.verdict_note,
-            "mismatches": list(self.mismatches),
-        }
+        return {**dataclasses.asdict(self), "ok": self.ok}
 
     def render_text(self) -> str:
         verdict = "REPRODUCED" if self.ok else "DIVERGED"

@@ -41,6 +41,7 @@ the registry's resident dict.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import zlib
 from collections import OrderedDict
@@ -94,6 +95,18 @@ class Tick:
     cpi: float
 
 
+def _well_formed(tick: Tick, width: int) -> bool:
+    """A tick a lane can use: finite CPI and a finite metric row of the
+    lane's catalog width.  Anything else would poison the ARIMA history or
+    the MIC window for as long as it stays in either."""
+    row = np.asarray(tick.metrics, dtype=float)
+    return (
+        row.shape == (width,)
+        and math.isfinite(tick.cpi)
+        and bool(np.isfinite(row).all())
+    )
+
+
 @dataclass(frozen=True)
 class FleetEvent:
     """An event one lane emitted during an ingest batch.
@@ -118,8 +131,8 @@ class IngestResult:
     Attributes:
         events: events emitted by the batch, in batch order.
         accepted: ticks routed to a (possibly new) monitor.
-        rejected: ticks dropped because their context has no trained
-            models in the store.
+        rejected: ticks dropped as malformed (see :func:`_well_formed`)
+            or because their context has no trained models in the store.
     """
 
     events: list[FleetEvent] = field(default_factory=list)
@@ -344,7 +357,7 @@ class FleetMonitor:
         with shard._lock:
             for pos, tick in ticks:
                 monitor = self._lane_for(shard, tick.context)
-                if monitor is None:
+                if monitor is None or not _well_formed(tick, monitor.width):
                     rejected += 1
                     continue
                 accepted += 1
@@ -480,12 +493,7 @@ class FleetMonitor:
                 self._incidents.popitem(last=False)
         ledger = self.pipeline.ledger
         if ledger is not None:
-            fields: dict[str, object] = dict(
-                tick=event.tick,
-                alarm_tick=event.alarm_tick,
-                cause=event.root_cause,
-                matched=event.inference.matched,
-            )
+            fields = event.summary()
             if request_id:
                 fields["request_id"] = request_id
             if bundle_id is not None:

@@ -137,9 +137,7 @@ def _event_json(context: OperationContext, event) -> dict:
         out["type"] = "alarm"
     elif isinstance(event, DiagnosisEvent):
         out["type"] = "diagnosis"
-        out["alarm_tick"] = event.alarm_tick
-        out["cause"] = event.root_cause
-        out["matched"] = event.inference.matched
+        out.update(event.summary())
     return out
 
 

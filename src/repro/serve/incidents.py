@@ -25,12 +25,11 @@ produced.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.blackbox import BUNDLE_MANIFEST
+from repro.core.persistence import committed_dirs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.serve.fleet import FleetMonitor
@@ -154,23 +153,15 @@ def _record_from_manifest(
 
 
 def scan_bundles(root: str | Path) -> list[IncidentRecord]:
-    """Read every *committed* bundle under an incidents directory.
-
-    Directories without a manifest are aborted commit attempts (the
-    manifest is the commit point) and are skipped; a missing or empty
-    root yields an empty list.  Records come back in
+    """Read every *committed* bundle under an incidents directory
+    (DESIGN.md §9: aborted attempts are skipped; a missing or empty root
+    yields an empty list).  Records come back in
     :meth:`IncidentRecord.sort_key` order.
     """
-    root = Path(root)
-    if not root.is_dir():
-        return []
-    records: list[IncidentRecord] = []
-    for entry in sorted(root.iterdir()):
-        manifest_path = entry / BUNDLE_MANIFEST
-        if not entry.is_dir() or not manifest_path.is_file():
-            continue
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        records.append(_record_from_manifest(manifest, entry))
+    records = [
+        _record_from_manifest(manifest, entry)
+        for entry, manifest in committed_dirs(root)
+    ]
     return sorted(records, key=IncidentRecord.sort_key)
 
 
@@ -185,17 +176,13 @@ def records_from_fleet(fleet: "FleetMonitor") -> list[IncidentRecord]:
         return scan_bundles(fleet.blackbox_dir)
     records = []
     for key, retained in fleet.retained_incidents():
-        event = retained.event
         records.append(
             IncidentRecord(
                 bundle_id=f"mem-{key[0]}@{key[1]}",
                 workload=key[0],
                 node=key[1],
-                alarm_tick=event.alarm_tick,
-                tick=event.tick,
-                cause=event.root_cause,
-                matched=event.inference.matched,
                 request_id=retained.request_id,
+                **retained.event.summary(),
             )
         )
     return sorted(records, key=IncidentRecord.sort_key)

@@ -15,10 +15,10 @@ codecs of :mod:`repro.core.persistence` verbatim), indexed by a
           invariants.xml             # (I,ip,type), matrix form
           signatures.xml             # (tuple, problem, ip, type) rows
 
-Publishing is crash-safe: every artifact is written to a temp file and
-``os.replace``-d into place, and the manifest — rewritten last, the same
-way — is the commit point, carrying a per-context ``revision`` counter
-that bumps on every publish.  Loading is lazy: attaching a pipeline to a
+Publishing follows the manifest commit point of DESIGN.md §9: the
+artifacts are written first, each one atomically, and the root manifest
+is rewritten last, carrying a per-context ``revision`` counter that
+bumps on every publish.  Loading is lazy: attaching a pipeline to a
 registry of thousands of contexts reads only the manifest; each context's
 XML is parsed the first time :meth:`DirectoryStore.slot` needs it, and an
 optional ``max_resident`` bound persists-and-drops the least-recently-used
@@ -32,7 +32,6 @@ never collide with quoted content.
 
 from __future__ import annotations
 
-import json
 import logging
 import shutil
 from collections import OrderedDict
@@ -44,10 +43,12 @@ from repro.core.anomaly import AnomalyDetector
 from repro.core.context import OperationContext
 from repro.obs.ledger import LEDGER_NAME, RunLedger
 from repro.core.persistence import (
-    atomic_write_text,
+    MANIFEST_NAME,
+    commit_manifest,
     load_invariants,
     load_performance_model,
     load_signatures,
+    read_manifest,
     save_invariants,
     save_performance_model,
     save_signatures,
@@ -55,8 +56,6 @@ from repro.core.persistence import (
 from repro.store.base import ContextKey, ContextModels, ModelStore, StoreError
 
 __all__ = ["DirectoryStore", "MANIFEST_NAME", "MANIFEST_FORMAT"]
-
-MANIFEST_NAME = "manifest.json"
 
 _log = obs.get_logger("store.directory")
 
@@ -133,12 +132,12 @@ class DirectoryStore(ModelStore):
     # ------------------------------------------------------------------
     def _read_manifest(self) -> dict:
         path = self.root / MANIFEST_NAME
-        if not path.exists():
-            return {"format": MANIFEST_FORMAT, "contexts": {}}
         try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(f"unreadable manifest {path}: {exc}") from exc
+            manifest = read_manifest(self.root)
+        except ValueError as exc:
+            raise StoreError(str(exc)) from exc
+        if manifest is None:
+            return {"format": MANIFEST_FORMAT, "contexts": {}}
         fmt = manifest.get("format")
         if fmt != MANIFEST_FORMAT:
             raise StoreError(
@@ -151,10 +150,7 @@ class DirectoryStore(ModelStore):
 
     def _write_manifest(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            self.root / MANIFEST_NAME,
-            json.dumps(self._manifest, indent=2, sort_keys=True) + "\n",
-        )
+        commit_manifest(self.root, self._manifest)
 
     def entries(self) -> dict[ContextKey, dict]:
         """The manifest index: per-context metadata without loading XML."""

@@ -13,7 +13,9 @@ from repro.eval.experiments import (
     run_fig4_cpi_kpi,
     run_fig5_residuals,
     run_fig6_threshold_rules,
+    run_table1_overhead,
 )
+from repro.stats.micfast import association_cache
 from repro.store import DirectoryStore
 
 
@@ -127,3 +129,23 @@ class TestExperimentLedger:
         ctx = OperationContext("grep", "slave-1", cluster.ip_of("slave-1"))
         run_diagnosis_experiment(system, campaign, ctx, "InvarNet-X")
         assert system.ledger is None
+
+
+class TestTable1:
+    def test_cause_infer_span_scores_a_cold_matrix(self, cluster, monkeypatch):
+        """The signature is trained on the very run Cause-I diagnoses;
+        the timed inference must still score its window, not hit the
+        association cache the signature training filled."""
+        after_infer = []
+        infer = InvarNetX.infer
+
+        def recording_infer(self, *args, **kwargs):
+            result = infer(self, *args, **kwargs)
+            after_infer.append(association_cache().stats())
+            return result
+
+        monkeypatch.setattr(InvarNetX, "infer", recording_infer)
+        rows = run_table1_overhead(cluster, workloads=("grep",), n_normal=3)
+        assert len(rows) == 1
+        assert after_infer[-1]["hits"] == 0
+        assert after_infer[-1]["misses"] == 1

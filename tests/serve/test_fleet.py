@@ -20,7 +20,7 @@ from repro.core.anomaly import (
 )
 from repro.core.online import AlarmEvent, DiagnosisEvent, OnlineMonitor
 from repro.serve import FleetMonitor, Tick, shard_index
-from repro.stats.arima import fit_arima
+from repro.stats.arima import ARIMAModel, ARIMAOrder, fit_arima
 from repro.store import DirectoryStore, LockedStore
 
 from tests.serve.conftest import (
@@ -337,3 +337,84 @@ class TestIncidentSink:
         with fleet:
             got = _fleet_events(fleet, contexts, 30, _staggered_cpi)
         assert all(len(v) >= 2 for v in got.values())
+
+
+def _ma1_detector() -> AnomalyDetector:
+    """ARIMA(0, 1, 1): a q>0 lane, served by the full recursion."""
+    model = ARIMAModel(
+        order=ARIMAOrder(0, 1, 1),
+        ar=np.empty(0),
+        ma=np.array([0.3]),
+        intercept=0.0,
+        sigma2=1.0,
+    )
+    return AnomalyDetector.from_artifacts(
+        model, DriftThreshold(ThresholdRule.BETA_MAX, upper=0.5)
+    )
+
+
+class TestMalformedTicks:
+    """A tick a lane cannot use is rejected at the fleet boundary; it
+    never reaches ARIMA history or the MIC window."""
+
+    def test_nan_cpi_does_not_silence_a_q_gt0_lane(self):
+        context = OperationContext("wordcount", "node-0")
+        fleet = FleetMonitor(
+            build_pipeline([context], _ma1_detector()),
+            shards=1,
+            workers=0,
+            **MONITOR_KW,
+        )
+        alarms, rejected = [], 0
+        with fleet:
+            for t in range(130):
+                if t == 50:
+                    cpi = float("nan")
+                elif t >= 100:
+                    cpi = 1.0 + (3.0 if t % 2 else -3.0)
+                else:
+                    cpi = 1.0
+                result = fleet.ingest([Tick(context, np.full(4, 1.0), cpi)])
+                rejected += result.rejected
+                alarms += [
+                    t for fe in result.events
+                    if isinstance(fe.event, AlarmEvent)
+                ]
+        assert alarms and 100 <= alarms[0] <= 103
+        assert rejected == 1
+
+    @pytest.mark.parametrize(
+        "bad_metrics, bad_cpi",
+        [
+            (np.full(3, 1.0), 1.0),  # wrong width
+            (np.full(5, 1.0), 1.0),
+            (np.array([1.0, np.inf, 1.0, 1.0]), 1.0),
+            (np.array([1.0, np.nan, 1.0, 1.0]), 1.0),
+            (np.full(4, 1.0), float("inf")),
+        ],
+    )
+    def test_bad_tick_in_lead_in_does_not_wedge_the_lane(
+        self, bad_metrics, bad_cpi
+    ):
+        contexts = _contexts(2)
+        fleet = FleetMonitor(
+            build_pipeline(contexts), shards=2, workers=0, **MONITOR_KW
+        )
+        diagnosed, rejected = set(), []
+        with fleet:
+            for t in range(40):
+                batch = [
+                    Tick(c, np.full(4, float(t)), _staggered_cpi(t, 0))
+                    for c in contexts
+                ]
+                if t == 14:  # inside the lead-in, before the alarm
+                    batch.insert(0, Tick(contexts[0], bad_metrics, bad_cpi))
+                result = fleet.ingest(batch)
+                rejected.append(result.rejected)
+                diagnosed.update(
+                    fe.context.key() for fe in result.events
+                    if isinstance(fe.event, DiagnosisEvent)
+                )
+            assert diagnosed == {c.key() for c in contexts}
+            assert rejected == [1 if t == 14 else 0 for t in range(40)]
+            assert fleet.rejected_total == 1
