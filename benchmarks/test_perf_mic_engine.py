@@ -139,15 +139,3 @@ class TestMicEngineBenchmark:
             f"engine speedup {speedup:.2f}x below the required "
             f"{REQUIRED_SPEEDUP}x on the (600, 26) acceptance window"
         )
-
-    def test_parallel_knob_equivalent_on_benchmark_window(self):
-        """max_workers changes wall-clock only, never values (the pool may
-        legitimately fall back to serial with a RuntimeWarning here)."""
-        import warnings
-
-        data = _window(200, 8)
-        serial = mic_matrix_fast(data)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            pooled = mic_matrix_fast(data, max_workers=2)
-        assert np.array_equal(serial, pooled)

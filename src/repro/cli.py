@@ -79,7 +79,7 @@ from pathlib import Path
 import repro.obs as obs
 from repro.cluster import HadoopCluster
 from repro.cluster.workloads import WORKLOADS
-from repro.core import InvarNetX, InvarNetXConfig, OperationContext
+from repro.core import InvarNetX, OperationContext
 from repro.core.persistence import (
     MANIFEST_NAME,
     canonical_json,
@@ -163,12 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--node", default="slave-1")
         p.add_argument("--top-k", type=int, default=3)
-        p.add_argument(
-            "--mic-workers", type=int, default=None,
-            help="MIC engine parallelism: omit for serial, 0 for one "
-            "process per CPU, k for at most k processes (results are "
-            "identical)",
-        )
         p.add_argument(
             "--store", type=Path, default=None, metavar="DIR",
             help="durable model registry: trained models persist here, "
@@ -595,13 +589,12 @@ def _trained_pipeline(
         )
         return 2
     ctx = OperationContext(workload, args.node, first.nodes[args.node].ip)
-    config = InvarNetXConfig(mic_workers=args.mic_workers)
     if args.store is not None:
         registry = DirectoryStore(args.store)
-        pipe = InvarNetX.attached_to(registry, config=config)
+        pipe = InvarNetX.attached_to(registry)
     else:
         registry = None
-        pipe = InvarNetX(config)
+        pipe = InvarNetX()
     if pipe.is_trained(ctx):
         assert registry is not None  # only a store can pre-train a context
         print(

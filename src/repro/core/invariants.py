@@ -68,7 +68,6 @@ class AssociationMatrix:
         samples: np.ndarray,
         catalog: MetricCatalog | None = None,
         params: MICParameters | None = None,
-        max_workers: int | None = None,
     ) -> "AssociationMatrix":
         """Compute the matrix from a (ticks, M) sample window.
 
@@ -76,8 +75,6 @@ class AssociationMatrix:
             samples: (ticks, M) metric window.
             catalog: metric vocabulary fixing M.
             params: MIC tuning constants.
-            max_workers: MIC parallelism knob (None = serial, 0 = all
-                CPUs), forwarded to :mod:`repro.stats.micfast`.
 
         The window is looked up in the process-wide content-hash cache
         first, so identical windows cost one hash instead of a MIC sweep.
@@ -88,7 +85,7 @@ class AssociationMatrix:
             raise ValueError(
                 f"expected (ticks, {len(catalog)}) samples, got {arr.shape}"
             )
-        values = cached_mic_matrix(arr, params, max_workers=max_workers)
+        values = cached_mic_matrix(arr, params)
         return cls(values=values, catalog=catalog)
 
     def score(self, metric_a: str, metric_b: str) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -234,12 +235,10 @@ class OnlineMonitor:
                 "One-step ARIMA drift checks actually run",
                 ("context",),
             ).inc(context=self._label)
-        try:
-            return self._models.detector.check_next(
-                np.asarray(self._cpi), cpi
-            )
-        except ValueError:
+        p, d, q = self._models.detector.model.order
+        if self.cpi_len <= d + max(p, q):
             return False  # history still too short for the order
+        return self._models.detector.check_next(np.asarray(self._cpi), cpi)
 
     def observe(
         self,
@@ -263,7 +262,14 @@ class OnlineMonitor:
             An :class:`AlarmEvent` at the tick the problem is reported, a
             :class:`DiagnosisEvent` once the abnormal window has been
             collected and inferred, or None.
+
+        Raises:
+            ValueError: ``cpi`` is NaN or infinite.  The tick is refused
+                before anything is recorded: one such sample in the CPI
+                history would break every drift check until it aged out.
         """
+        if not math.isfinite(cpi):
+            raise ValueError(f"CPI must be finite, got {cpi!r}")
         self._tick += 1
         row = np.asarray(metrics_row, dtype=float)
         if obs.enabled():

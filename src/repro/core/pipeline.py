@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +59,22 @@ from repro.store import ContextModels, MemoryStore, ModelStore
 from repro.telemetry.metrics import MetricCatalog
 from repro.telemetry.trace import NodeTrace, RunTrace
 
-__all__ = ["InvarNetXConfig", "DiagnosisResult", "InvarNetX"]
+__all__ = [
+    "InvarNetXConfig",
+    "DiagnosisResult",
+    "InvarNetX",
+    "RETIRED_CONFIG_FIELDS",
+]
 
 #: Length (ticks) of the abnormal window handed to cause inference.
 ABNORMAL_WINDOW_TICKS = 30
+
+#: Fields removed from :class:`InvarNetXConfig`, at their last default.
+#: The config fingerprint and every incident bundle's ``environment.json``
+#: are built from ``asdict(config)``; merging these entries back into both
+#: payloads keeps ledger fingerprints continuous and lets bundles written
+#: before a removal still replay.  A removed field stays here for good.
+RETIRED_CONFIG_FIELDS: dict[str, object] = {"mic_workers": None}
 
 _log = obs.get_logger("core.pipeline")
 
@@ -136,9 +148,6 @@ class InvarNetXConfig:
         arima_order: fixed (p, d, q), or None for AIC selection.
         mic_alpha: MIC grid-budget exponent.
         mic_clumps_factor: MIC superclump factor.
-        mic_workers: parallelism of the MIC association-matrix engine
-            (None = serial, 0 = one process per CPU, k = at most k
-            processes); results are identical at any setting.
     """
 
     rule: ThresholdRule = ThresholdRule.BETA_MAX
@@ -151,7 +160,6 @@ class InvarNetXConfig:
     arima_order: tuple[int, int, int] | None = None
     mic_alpha: float = 0.6
     mic_clumps_factor: int = 15
-    mic_workers: int | None = None
 
     def mic_params(self) -> MICParameters:
         """The MIC tuning object implied by this config."""
@@ -264,7 +272,9 @@ class InvarNetX:
         """Short stable fingerprint of this pipeline's configuration,
         stamped on every ledger entry."""
         if self._fingerprint is None:
-            self._fingerprint = config_fingerprint(self.config)
+            self._fingerprint = config_fingerprint(
+                {**asdict(self.config), **RETIRED_CONFIG_FIELDS}
+            )
         return self._fingerprint
 
     @classmethod
@@ -375,20 +385,22 @@ class InvarNetX:
                 sp.set(context=str(context), traces=len(cpi_traces))
         return detector
 
-    def association_matrix(self, samples: np.ndarray) -> AssociationMatrix:
+    def association_matrix(
+        self, samples: np.ndarray, catalog: MetricCatalog | None = None
+    ) -> AssociationMatrix:
         """Pairwise MIC matrix of one observation window (helper shared by
         training and diagnosis).
 
-        Runs on the batched MIC engine with the config's
-        ``mic_workers`` parallelism, behind the process-wide window cache:
-        re-scoring a byte-identical window (common when training and
-        diagnosis revisit the same run) costs one content hash.
+        Runs on the batched MIC engine behind the process-wide window
+        cache: re-scoring a byte-identical window (common when training and
+        diagnosis revisit the same run) costs one content hash.  Diagnosis
+        passes the catalog of the context's stored invariants, which a
+        warm-started pipeline need not share with its own ``catalog``.
         """
         return AssociationMatrix.from_samples(
             samples,
-            catalog=self.catalog,
+            catalog=catalog if catalog is not None else self.catalog,
             params=self.config.mic_params(),
-            max_workers=self.config.mic_workers,
         )
 
     def build_invariants(
@@ -674,7 +686,9 @@ class InvarNetX:
                 min_similarity=self.config.min_similarity,
                 measure=self.config.similarity,
             )
-            abnormal = self.association_matrix(abnormal_window)
+            abnormal = self.association_matrix(
+                abnormal_window, slot.invariants.catalog
+            )
             result = engine.infer(abnormal, top_k=top_k)
             if sp:
                 sp.set(

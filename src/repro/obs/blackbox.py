@@ -56,7 +56,11 @@ from repro.core.persistence import (
     commit_manifest,
     read_manifest,
 )
-from repro.core.pipeline import InvarNetX, InvarNetXConfig
+from repro.core.pipeline import (
+    RETIRED_CONFIG_FIELDS,
+    InvarNetX,
+    InvarNetXConfig,
+)
 from repro.obs.ledger import config_fingerprint
 from repro.telemetry.metrics import MetricCatalog
 
@@ -303,7 +307,7 @@ class FlightRecorder:
 # bundle commit
 # ----------------------------------------------------------------------
 def _config_to_json(config: InvarNetXConfig) -> dict[str, Any]:
-    data = dataclasses.asdict(config)
+    data = {**dataclasses.asdict(config), **RETIRED_CONFIG_FIELDS}
     data["rule"] = config.rule.value
     if data["arima_order"] is not None:
         data["arima_order"] = list(data["arima_order"])

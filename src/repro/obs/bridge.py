@@ -9,9 +9,9 @@ with a compact ``key=value`` structured format.
 :func:`warn_once` is the bridge between one-shot operator warnings and
 the logging stream: the first occurrence of a key raises a real
 :mod:`warnings` warning (so test tooling and ``-W error`` policies keep
-working) *and* logs it; repeats only log at DEBUG.  The MIC engine's
-serial-fallback ``RuntimeWarning`` routes through it, turning a
-once-per-call nag into a once-per-process signal.
+working) *and* logs it; repeats only log at DEBUG.  The fleet's
+untrained-context warning routes through it, turning a once-per-tick
+nag into a once-per-process signal.
 """
 
 from __future__ import annotations

@@ -378,7 +378,7 @@ def explain_window(
         raise RuntimeError(f"no invariants built for {context}")
     invariants = slot.invariants
     config = pipeline.config
-    abnormal = pipeline.association_matrix(abnormal_window)
+    abnormal = pipeline.association_matrix(abnormal_window, invariants.catalog)
 
     observed = np.array(
         [abnormal.values[i, j] for i, j in invariants.pairs], dtype=float

@@ -9,8 +9,8 @@ engines the paper relies on:
   Reshef et al. (Science, 2011), used to build likely invariants
   (paper §3.3).
 - :mod:`repro.stats.micfast` — whole association matrices on the
-  batched MIC kernel: one kernel call per window, optional process-pool
-  parallelism, and a content-hash LRU cache of computed matrices.
+  batched MIC kernel (:func:`mic_matrix_fast`, one serial kernel call
+  per window) and a content-hash LRU cache of computed matrices.
 
 Supporting modules supply shared time-series machinery
 (:mod:`repro.stats.timeseries`) and association/regression helpers
@@ -19,7 +19,7 @@ Supporting modules supply shared time-series machinery
 
 from repro.stats.arima import ARIMAModel, fit_arima, select_order
 from repro.stats.correlation import pearson, polyfit2, spearman
-from repro.stats.mic import mic, mic_matrix
+from repro.stats.mic import mic
 from repro.stats.micfast import (
     AssociationCache,
     association_cache,
@@ -34,7 +34,6 @@ __all__ = [
     "fit_arima",
     "select_order",
     "mic",
-    "mic_matrix",
     "mic_matrix_fast",
     "cached_mic_matrix",
     "AssociationCache",

@@ -36,7 +36,8 @@ padded boundaries repeat ``n`` (their cells hold no points, so they are
 item's scores are bit-identical to scoring it alone.  Only the superclump
 walk runs per item, and only when an item has more clumps than its
 ``k_hat``.  Scalar :func:`mic` is the same kernel on a two-column window;
-:mod:`repro.stats.micfast` runs it over a full association matrix.
+:func:`repro.stats.micfast.mic_matrix_fast` runs it, serially, over a
+whole association matrix.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import numpy as np
 
 __all__ = [
     "mic",
-    "mic_matrix",
     "MICParameters",
     "ColumnPrep",
     "prepare_column",
@@ -656,27 +656,3 @@ def mic(
     if np.ptp(xa) == 0.0 or np.ptp(ya) == 0.0:
         return 0.0
     return float(_mic_pairs(np.column_stack((xa, ya)), [(0, 1)], params)[0])
-
-
-def mic_matrix(
-    data: np.ndarray,
-    params: MICParameters | None = None,
-    max_workers: int | None = None,
-) -> np.ndarray:
-    """Pairwise MIC over the columns of a samples-by-metrics array.
-
-    Delegates to :func:`repro.stats.micfast.mic_matrix_fast`, which scores
-    every pair of sharable columns in one call of the batched kernel.
-
-    Args:
-        data: array of shape ``(n_samples, n_metrics)``.
-        params: optional tuning constants.
-        max_workers: parallelism knob — ``None`` runs serial, ``0`` uses
-            all CPUs, a positive value caps the process pool size.
-
-    Returns:
-        Symmetric ``(n_metrics, n_metrics)`` matrix with unit diagonal.
-    """
-    from repro.stats.micfast import mic_matrix_fast
-
-    return mic_matrix_fast(data, params=params, max_workers=max_workers)

@@ -453,6 +453,49 @@ class TestStateMachineBugfixes:
         assert np.array_equal(diagnosis.window, captured[0])
 
 
+class TestNonFiniteCpi:
+    """A standalone monitor refuses a NaN CPI instead of carrying it in
+    its history, where it would break every later ARIMA(0, 1, 1) drift
+    check until it aged out of the 600-sample buffer."""
+
+    def _ma1_monitor(self):
+        context = OperationContext("wordcount", "slave-1")
+        pipe = TestMonitorStateMachine()._pipeline(context)
+        pipe.store.slot(context.key(), context).detector = (
+            AnomalyDetector.from_artifacts(
+                ARIMAModel(
+                    order=ARIMAOrder(0, 1, 1),
+                    ar=np.empty(0),
+                    ma=np.array([0.3]),
+                    intercept=0.0,
+                    sigma2=1.0,
+                ),
+                DriftThreshold(ThresholdRule.BETA_MAX, upper=0.5),
+            )
+        )
+        pipe.infer = lambda ctx, window, top_k=3: InferenceResult(
+            causes=[], violations=np.zeros(1, dtype=bool)
+        )
+        return OnlineMonitor(
+            pipe, context, window_ticks=8, warmup_ticks=12, cooldown_ticks=4
+        )
+
+    def test_nan_refused_and_later_fault_still_alarms(self):
+        monitor = self._ma1_monitor()
+        alarms = []
+        for t in range(130):
+            if t == 50:
+                with pytest.raises(ValueError, match="finite"):
+                    monitor.observe(np.full(4, 1.0), float("nan"))
+                assert monitor.tick == 49
+                assert monitor.cpi_len == 50
+                continue
+            cpi = 1.0 + (3.0 if t % 2 else -3.0) if t >= 100 else 1.0
+            if isinstance(monitor.observe(np.full(4, 1.0), cpi), AlarmEvent):
+                alarms.append(t)
+        assert alarms and 100 <= alarms[0] <= 103
+
+
 class TestInvariantTracker:
     def _matrices(self, rng, n=5):
         from repro.telemetry.metrics import MetricCatalog

@@ -190,3 +190,15 @@ class TestClusterDiagnoser:
         assert entry["verdict"] == [NODE, "CPU-hog"]
         assert entry["fingerprint"] == diagnoser.pipeline.fingerprint
         assert out.faulty_nodes == [NODE]
+
+
+class TestConfigFingerprint:
+    def test_default_fingerprint_is_pinned(self):
+        """Every ledger entry and incident bundle carries the default
+        config's fingerprint; if it moves, fingerprint continuity and the
+        replay of existing bundles break."""
+        assert InvarNetX().fingerprint == "9bd069959b5b", (
+            "the default InvarNetXConfig fingerprint moved: a removed "
+            "field must stay in RETIRED_CONFIG_FIELDS at its old default, "
+            "and a new field changes every persisted fingerprint"
+        )

@@ -4,8 +4,6 @@ import io
 import logging
 import warnings
 
-import numpy as np
-
 from repro.obs.bridge import (
     get_logger,
     install_handler,
@@ -79,29 +77,3 @@ class TestWarnOnce:
             warn_once("kb", "b")
         assert len(caught) == 2
 
-
-class TestSerialFallbackWarning:
-    def test_mic_fallback_fires_once_per_process(self, rng, monkeypatch):
-        """The MIC engine's serial-fallback RuntimeWarning routes through
-        warn_once: a broken process pool nags exactly once, and results
-        stay contractually identical to serial."""
-        import repro.stats.micfast as micfast
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no processes for you")
-
-        monkeypatch.setattr(micfast, "ProcessPoolExecutor", broken_pool)
-        reset_warn_once()
-        data = rng.normal(size=(30, 7))  # 21 pairs: above the pool floor
-        serial = micfast.mic_matrix_fast(data)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = micfast.mic_matrix_fast(data, max_workers=2)
-            second = micfast.mic_matrix_fast(data, max_workers=2)
-        fallback = [
-            w for w in caught if "serial" in str(w.message).lower()
-        ]
-        assert len(fallback) == 1
-        assert fallback[0].category is RuntimeWarning
-        assert np.array_equal(first, serial)
-        assert np.array_equal(second, serial)

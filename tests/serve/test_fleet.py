@@ -338,6 +338,35 @@ class TestIncidentSink:
             got = _fleet_events(fleet, contexts, 30, _staggered_cpi)
         assert all(len(v) >= 2 for v in got.values())
 
+    def test_warm_start_diagnoses_with_the_stored_catalog(self, tmp_path):
+        """A pipeline attached to a registry keeps its default 26-metric
+        catalog, but diagnosis and its explanation must score the window
+        against the context's own 4-metric invariants."""
+        context = OperationContext("wordcount", "node-0")
+        seed_pipe = InvarNetX(
+            catalog=CATALOG, store=DirectoryStore(tmp_path / "registry")
+        )
+        adopt_context(seed_pipe, context)
+        seed_pipe.store.persist(context.key())
+        cold = InvarNetX.attached_to(DirectoryStore(tmp_path / "registry"))
+        assert len(cold.catalog) != len(CATALOG)
+        diagnoses = []
+        with FleetMonitor(cold, shards=1, workers=0, **MONITOR_KW) as fleet:
+            for t in range(60):
+                # a step fault: +1/tick for 5 ticks, then flat
+                cpi = 1.0 + min(max(t - 14, 0), 5)
+                result = fleet.ingest(
+                    [Tick(context, np.full(4, float(t)), cpi)]
+                )
+                diagnoses += [
+                    fe.event for fe in result.events
+                    if isinstance(fe.event, DiagnosisEvent)
+                ]
+            report = fleet.explain(context)
+        assert len(diagnoses) == 1
+        assert diagnoses[0].window.shape == (8, 4)
+        assert len(report.pairs) == 1  # the stored (m0, m1) invariant
+
 
 def _ma1_detector() -> AnomalyDetector:
     """ARIMA(0, 1, 1): a q>0 lane, served by the full recursion."""

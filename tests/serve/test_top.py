@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cli import main
@@ -260,14 +262,23 @@ class TestHttpSource:
                 {"ticks": [_tick_json(c, 1.0, t) for c in contexts]},
             )
         source = HttpSource(base, clock=lambda: 5.0)
-        snapshot = source.snapshot()
+        # The server records an /ingest after writing its reply, so the
+        # last one may land a moment after the client has its answer.
+        deadline = time.monotonic() + 10.0
+        while True:
+            snapshot = source.snapshot()
+            ingest = next(
+                (e for e in snapshot.endpoints if e.endpoint == "/ingest"),
+                None,
+            )
+            done = ingest is not None and ingest.requests >= 3.0
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
         assert snapshot.taken_at == 5.0
         assert snapshot.contexts == 3  # resident lanes via /health
         assert snapshot.ticks == 9.0
-        ingest = next(
-            e for e in snapshot.endpoints if e.endpoint == "/ingest"
-        )
-        assert ingest.requests == 3.0
+        assert ingest is not None and ingest.requests == 3.0
         assert ingest.p50 is not None
 
     def test_cli_top_once(self, obs_served_fleet, capsys):

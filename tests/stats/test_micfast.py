@@ -12,7 +12,6 @@ from repro.stats.micfast import (
     cached_mic_matrix,
     clear_association_cache,
     mic_matrix_fast,
-    resolve_workers,
 )
 
 
@@ -116,46 +115,6 @@ class TestPrepTable:
         _score_pairs(data, MICParameters(), [(0, 1), (0, 2)])
         # Column 0 serves both pairs from one precompute.
         assert built == [data[:, c].tobytes() for c in range(3)]
-
-
-class TestWorkersKnob:
-    def test_resolve_semantics(self):
-        import os
-
-        assert resolve_workers(None) == 1
-        assert resolve_workers(1) == 1
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) == (os.cpu_count() or 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_workers(-1)
-        with pytest.raises(ValueError):
-            mic_matrix_fast(np.zeros((10, 2)), max_workers=-2)
-
-    def test_parallel_equals_serial(self, rng):
-        # 6 columns = 15 pairs < _MIN_PARALLEL_PAIRS, so force more.
-        data = rng.normal(size=(40, 7))
-        serial = mic_matrix_fast(data)
-        # Whether the pool starts or the fallback fires, the result is
-        # contractually identical to serial.
-        with np.errstate(all="ignore"):
-            import warnings as _w
-
-            with _w.catch_warnings():
-                _w.simplefilter("ignore", RuntimeWarning)
-                parallel = mic_matrix_fast(data, max_workers=2)
-        assert np.array_equal(parallel, serial)
-
-    def test_small_pair_counts_stay_serial(self, rng, monkeypatch):
-        import repro.stats.micfast as micfast
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("pool attempted for a tiny pair list")
-
-        monkeypatch.setattr(micfast, "_parallel_scores", boom)
-        data = rng.normal(size=(30, 3))  # 3 pairs < threshold
-        micfast.mic_matrix_fast(data, max_workers=4)
 
 
 class TestAssociationCache:
