@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.stats.arima import ARIMAModel, ARIMAOrder, fit_arima, select_order
+from repro.stats.arima import (
+    ARIMAModel,
+    ARIMAOrder,
+    OneStepPredictor,
+    fit_arima,
+    select_order,
+)
 from repro.stats.correlation import percentile
 
 __all__ = [
@@ -242,11 +248,14 @@ class AnomalyDetector:
         """Online single-sample check: is ``observed`` anomalous given the
         CPI ``history`` so far?
 
+        O(history): the reference for tests and replay.  A streaming
+        monitor uses :meth:`OnlineMonitor.check` instead.
+
         Args:
             history: all CPI samples before the new one.
             observed: the newly collected CPI sample.
         """
         if self.model is None or self.threshold is None:
             raise RuntimeError("detector is not trained")
-        predicted = self.model.predict_next(np.asarray(history, float))
+        predicted = OneStepPredictor(self.model, history).prediction
         return self.threshold.is_anomalous(abs(observed - predicted))

@@ -6,7 +6,9 @@ an agent would run per operation context:
 
 1. **monitoring** — each new CPI sample is checked against the ARIMA
    one-step prediction; three consecutive anomalies raise the alarm
-   (§3.2's robustness rule);
+   (§3.2's robustness rule).  The prediction is streamed by a
+   :class:`~repro.stats.arima.OneStepPredictor` (O(p + d + q) per tick
+   for every order; DESIGN.md §13.2);
 2. **collecting** — after the alarm, metric samples are gathered until the
    abnormal window is full (the alarm's lead-in samples are included from
    the ring buffer, matching :meth:`InvarNetX.extract_abnormal_window`);
@@ -28,7 +30,6 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any, Callable
 
 import numpy as np
@@ -37,6 +38,7 @@ import repro.obs as obs
 from repro.core.context import OperationContext
 from repro.core.inference import InferenceResult
 from repro.core.pipeline import ABNORMAL_WINDOW_TICKS, InvarNetX
+from repro.stats.arima import OneStepPredictor
 
 __all__ = ["MonitorState", "AlarmEvent", "DiagnosisEvent", "OnlineMonitor"]
 
@@ -107,8 +109,6 @@ class OnlineMonitor:
         warmup_ticks: samples to buffer before drift checks begin (the
             ARIMA recursion needs history).
         cooldown_ticks: ticks to stay silent after emitting a diagnosis.
-        max_history: CPI history bound (prediction only needs the recent
-            past; memory stays constant over week-long streams).
     """
 
     #: Consecutive anomalous samples required to raise the alarm (§3.2).
@@ -121,12 +121,9 @@ class OnlineMonitor:
         window_ticks: int = ABNORMAL_WINDOW_TICKS,
         warmup_ticks: int = 12,
         cooldown_ticks: int = 30,
-        max_history: int = 600,
     ) -> None:
         if window_ticks < 8:
             raise ValueError("window_ticks must be >= 8")
-        if max_history < warmup_ticks + 4:
-            raise ValueError("max_history too small for the warm-up")
         models = pipeline.context_models(context)
         if not models.trained:
             raise RuntimeError(
@@ -143,10 +140,17 @@ class OnlineMonitor:
         # or reloads the context cannot swap the detector mid-stream
         # (and the hot path never touches shared registry state).
         self._models = models
-        self._cpi: deque[float] = deque(maxlen=max_history)
+        # The detector history (every CPI sample outside COLLECTING) is
+        # buffered only until the first drift check is due, then seeds
+        # the streaming predictor and is dropped.
+        p, d, q = models.detector.model.order
+        self._seed_len = max(warmup_ticks, d + max(p, q) + 1)
+        self._seed: list[float] = []
+        self._predictor: OneStepPredictor | None = None
+        self._cpi_len = 0
         # CPI observed while the abnormal window is being collected —
-        # quarantined from ``_cpi`` so the ARIMA detector never resumes
-        # on fault-contaminated history after the cool-down.
+        # quarantined from the detector history so the ARIMA detector
+        # never resumes on fault-contaminated history after the cool-down.
         self._incident_cpi: list[float] = []
         # lead-in buffer: the alarm fires CONSECUTIVE ticks into the
         # problem, and the window starts 2 ticks before the alarm
@@ -185,19 +189,21 @@ class OnlineMonitor:
 
     @property
     def cpi_len(self) -> int:
-        """Samples currently in the detector's CPI history."""
-        return len(self._cpi)
+        """Samples the detector's CPI history has taken in (quarantined
+        COLLECTING samples are not counted)."""
+        return self._cpi_len
 
-    def cpi_tail(self, n: int) -> list[float]:
-        """The last ``n`` CPI history samples, oldest first.
-
-        O(n) off the right end of the ring buffer — the accessor a
-        batched serving layer uses to recompute the one-step prediction
-        without copying the whole history.
-        """
-        tail = list(islice(reversed(self._cpi), n))
-        tail.reverse()
-        return tail
+    def accepts(self, metrics_row: np.ndarray, cpi: float) -> bool:
+        """Whether a tick is usable: a finite CPI and a finite metric row
+        of the lane's catalog width.  Anything else would poison the ARIMA
+        history or the MIC window; :meth:`observe` refuses it and the
+        fleet counts it as malformed."""
+        row = np.asarray(metrics_row, dtype=float)
+        return (
+            row.shape == (self.width,)
+            and math.isfinite(cpi)
+            and bool(np.isfinite(row).all())
+        )
 
     # ------------------------------------------------------------------
     def _transition(self, new: MonitorState) -> None:
@@ -227,18 +233,41 @@ class OnlineMonitor:
             )
 
     # ------------------------------------------------------------------
-    def _check(self, cpi: float) -> bool:
-        """Run the one-step ARIMA drift check against current history."""
+    def check(self, cpi: float) -> bool | None:
+        """The §3.2 drift verdict for ``cpi`` against the one-step
+        prediction from the detector history before it.
+
+        Returns:
+            None outside MONITORING (MONITORING starts only after the
+            warm-up, so this is also the warm-up gate); False while the
+            history is too short for the model order; otherwise whether
+            the residual crosses the detector's threshold.
+        """
+        if self.state is not MonitorState.MONITORING:
+            return None
         if obs.enabled():
             obs.metrics_registry().counter(
                 "invarnetx_monitor_checks_total",
                 "One-step ARIMA drift checks actually run",
                 ("context",),
             ).inc(context=self._label)
-        p, d, q = self._models.detector.model.order
-        if self.cpi_len <= d + max(p, q):
+        if self._predictor is None:
             return False  # history still too short for the order
-        return self._models.detector.check_next(np.asarray(self._cpi), cpi)
+        residual = abs(float(cpi) - self._predictor.prediction)
+        return self._models.detector.threshold.is_anomalous(residual)
+
+    def _extend_history(self, cpi: float) -> None:
+        """Append one sample to the detector history."""
+        self._cpi_len += 1
+        if self._predictor is not None:
+            self._predictor.push(cpi)
+            return
+        self._seed.append(cpi)
+        if len(self._seed) >= self._seed_len:
+            self._predictor = OneStepPredictor(
+                self._models.detector.model, self._seed
+            )
+            self._seed = []
 
     def observe(
         self,
@@ -253,10 +282,9 @@ class OnlineMonitor:
             cpi: the CPI sample of this tick.
             anomalous: pre-computed drift verdict for this tick.  When
                 None (the default) the monitor runs its own
-                :meth:`_check`; a batched serving layer that already
-                computed the identical verdict out of band passes it
-                here to skip the duplicate ARIMA recursion.  Ignored
-                outside MONITORING.
+                :meth:`check`; a caller that already computed the
+                verdict (the fleet records it in the flight ring first)
+                passes it here.  Ignored outside MONITORING.
 
         Returns:
             An :class:`AlarmEvent` at the tick the problem is reported, a
@@ -264,14 +292,18 @@ class OnlineMonitor:
             collected and inferred, or None.
 
         Raises:
-            ValueError: ``cpi`` is NaN or infinite.  The tick is refused
-                before anything is recorded: one such sample in the CPI
-                history would break every drift check until it aged out.
+            ValueError: the tick fails :meth:`accepts`.  It is refused
+                before anything is recorded: one such CPI would break
+                every later drift check, one such row the abnormal window.
         """
-        if not math.isfinite(cpi):
-            raise ValueError(f"CPI must be finite, got {cpi!r}")
-        self._tick += 1
         row = np.asarray(metrics_row, dtype=float)
+        if not self.accepts(row, cpi):
+            raise ValueError(
+                f"refusing tick: need a finite CPI and a finite "
+                f"({self.width},) metric row, got CPI {cpi!r} and a row "
+                f"of shape {row.shape}"
+            )
+        self._tick += 1
         if obs.enabled():
             obs.metrics_registry().counter(
                 "invarnetx_monitor_state_ticks_total",
@@ -284,8 +316,8 @@ class OnlineMonitor:
             # keep the lead-in ring current so a prompt second alarm
             # seeds its window with these rows, not pre-incident ones
             self._recent_metrics.append(row)
-            # fault-window CPI is quarantined: folding it into ``_cpi``
-            # would teach the detector the faulty level and mask an
+            # fault-window CPI is quarantined: folding it into the
+            # detector history would teach it the faulty level and mask an
             # identical back-to-back incident after the cool-down
             self._incident_cpi.append(float(cpi))
             if len(self._collected) >= self.window_ticks:
@@ -322,19 +354,14 @@ class OnlineMonitor:
             return None
 
         # the drift check compares this tick's CPI against a prediction
-        # from the history *before* it, so it must run pre-append — and
-        # only in MONITORING (warm-up has nothing to compare against,
-        # cool-down would discard the verdict: wasted ARIMA work that
-        # adds up at fleet scale)
-        if self.state is MonitorState.MONITORING and anomalous is None:
-            anomalous = len(
-                self._cpi
-            ) >= self.warmup_ticks and self._check(float(cpi))
-        self._cpi.append(float(cpi))
+        # from the history *before* it, so it must run pre-append
+        if anomalous is None:
+            anomalous = self.check(cpi)
+        self._extend_history(float(cpi))
         self._recent_metrics.append(row)
 
         if self.state is MonitorState.WARMUP:
-            if len(self._cpi) >= self.warmup_ticks:
+            if self._cpi_len >= self.warmup_ticks:
                 self._transition(MonitorState.MONITORING)
             return None
         if self.state is MonitorState.COOLDOWN:

@@ -1,7 +1,7 @@
 """The incident flight recorder and deterministic incident bundles.
 
 The fleet's ``fleet-diagnose`` ledger lines say *that* a context was
-diagnosed; the raw evidence — the exact ticks, fastpath verdicts,
+diagnosed; the raw evidence — the exact ticks, drift verdicts,
 state-machine transitions and model revision that produced the diagnosis
 — dies with the process.  This module keeps it:
 
@@ -108,8 +108,8 @@ class TickRecord:
         tick: the monitor's tick index.
         metrics: the raw metric row (catalog order).
         cpi: the CPI sample.
-        verdict: the fast-lane drift verdict handed to ``observe`` (None
-            when the fast lane declined or the lane was not MONITORING).
+        verdict: the drift verdict handed to ``observe`` (None when the
+            lane was not MONITORING).
         state: the monitor state the tick was processed in.
         request_id: the HTTP request id that carried the tick ("" for
             in-process ingest).
@@ -580,11 +580,13 @@ def _replay_verdicts(
     """Re-compute the recorded drift verdicts from the ring's history.
 
     The monitor's verdict at tick ``t`` is a pure function of the
-    detector and the (quarantine-filtered) CPI history before ``t``; for
-    the pure-AR models the fleet serves, the one-step prediction depends
-    only on the last ``p + d`` samples, so the bounded ring carries
-    enough history once ``p + d`` non-quarantined ticks precede the
-    verdict (the fastpath theorem, :mod:`repro.serve.fastpath`).
+    detector and the (quarantine-filtered) CPI history before ``t``.  For
+    pure-AR models the one-step prediction depends only on the last
+    ``p + d`` samples (:class:`~repro.stats.arima.OneStepPredictor`), so
+    the bounded ring carries enough history once ``p + d``
+    non-quarantined ticks precede the verdict.  For ``q != 0`` the lane
+    also carries its last innovations, which the ring does not hold
+    (recording them would change the bundle format): no re-check.
     """
     detector = pipeline.context_models(context).detector
     if detector is None or detector.model is None:

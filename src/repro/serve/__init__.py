@@ -8,9 +8,9 @@ multiplex them all.  This package is that process's core:
 - :class:`FleetMonitor` — sharded registry of per-context
   :class:`~repro.core.online.OnlineMonitor` lanes (lazy construction,
   warm start from the attached model store, LRU eviction), a thread-pool
-  ingest path, the bit-exact fast drift lane, and the incident sink;
-- :mod:`repro.serve.fastpath` — O(tail) one-step ARIMA predictions for
-  pure-AR models, verdicts bit-identical to the full recursion;
+  ingest path, and the incident sink.  Every lane's drift check is the
+  monitor's own streaming check (O(p + d + q) per tick for every ARIMA
+  order, :class:`~repro.stats.arima.OneStepPredictor`);
 - :mod:`repro.serve.http` — the stdlib-only HTTP/JSON transport behind
   ``invarnetx serve``, RED-instrumented with ``/metrics`` and
   ``/debug/prof``;
@@ -21,7 +21,6 @@ multiplex them all.  This package is that process's core:
   incidents list|show``).
 """
 
-from repro.serve.fastpath import fast_check, predict_next_from_tail, tail_length
 from repro.serve.fleet import (
     FleetEvent,
     FleetMonitor,
@@ -55,9 +54,6 @@ __all__ = [
     "RetainedIncident",
     "Tick",
     "shard_index",
-    "fast_check",
-    "predict_next_from_tail",
-    "tail_length",
     "build_server",
     "FleetSnapshot",
     "HttpSource",

@@ -15,10 +15,9 @@ contexts (§3.2's deployment unit).  :class:`FleetMonitor` owns them all:
 - **LRU eviction** — each shard caps its resident lanes and evicts the
   least-recently-active monitor (models stay in the store, so an evicted
   context warm-starts again on its next tick);
-- the **fast drift lane** — MONITORING-state ticks are checked via
-  :mod:`repro.serve.fastpath` (O(tail) instead of O(history), verdicts
-  bit-identical) and the verdict is handed to ``observe``, which skips
-  its own recursion;
+- **one drift check** — each tick's verdict comes from the lane's own
+  :meth:`~repro.core.online.OnlineMonitor.check` (O(p + d + q), every
+  ARIMA order) and goes to the flight recorder and ``observe``;
 - an **incident sink** — every alarm/diagnosis is counted, logged,
   ledger-recorded (when the pipeline has an active run ledger) and the
   diagnosis windows are retained in a bounded ring so
@@ -27,7 +26,7 @@ contexts (§3.2's deployment unit).  :class:`FleetMonitor` owns them all:
   content-hash cache because diagnosis already scored that window);
 - the **blackbox** — pass ``blackbox_dir`` and every lane gets a
   :class:`~repro.obs.blackbox.FlightRecorder` (bounded ring of raw
-  ticks, fastpath verdicts, state transitions and request ids); each
+  ticks, drift verdicts, state transitions and request ids); each
   diagnosis is committed as a content-fingerprinted incident bundle
   that survives process exit, incident-ring eviction, and lane
   eviction, and that ``invarnetx replay`` re-runs deterministically.
@@ -41,7 +40,6 @@ the registry's resident dict.
 from __future__ import annotations
 
 import logging
-import math
 import threading
 import zlib
 from collections import OrderedDict
@@ -60,7 +58,6 @@ from repro.obs.blackbox import (
     FlightRecorder,
     commit_bundle,
 )
-from repro.serve.fastpath import fast_check
 from repro.store import ContextKey, LockedStore
 
 __all__ = [
@@ -73,6 +70,9 @@ __all__ = [
 ]
 
 _log = obs.get_logger("serve.fleet")
+
+# the drain loop's check, by module name: perfbench/tracing.py wraps it
+fast_check = OnlineMonitor.check
 
 
 def shard_index(key: ContextKey, shards: int) -> int:
@@ -93,18 +93,6 @@ class Tick:
     context: OperationContext
     metrics: np.ndarray
     cpi: float
-
-
-def _well_formed(tick: Tick, width: int) -> bool:
-    """A tick a lane can use: finite CPI and a finite metric row of the
-    lane's catalog width.  Anything else would poison the ARIMA history or
-    the MIC window for as long as it stays in either."""
-    row = np.asarray(tick.metrics, dtype=float)
-    return (
-        row.shape == (width,)
-        and math.isfinite(tick.cpi)
-        and bool(np.isfinite(row).all())
-    )
 
 
 @dataclass(frozen=True)
@@ -131,8 +119,9 @@ class IngestResult:
     Attributes:
         events: events emitted by the batch, in batch order.
         accepted: ticks routed to a (possibly new) monitor.
-        rejected: ticks dropped as malformed (see :func:`_well_formed`)
-            or because their context has no trained models in the store.
+        rejected: ticks dropped as malformed (see
+            :meth:`OnlineMonitor.accepts`) or because their context has
+            no trained models in the store.
     """
 
     events: list[FleetEvent] = field(default_factory=list)
@@ -192,8 +181,7 @@ class FleetMonitor:
             hot path then carries no recorder at all.
         blackbox_capacity: flight-ring length per lane.
         **monitor_kwargs: forwarded to every :class:`OnlineMonitor`
-            (``window_ticks``, ``warmup_ticks``, ``cooldown_ticks``,
-            ``max_history``).
+            (``window_ticks``, ``warmup_ticks``, ``cooldown_ticks``).
     """
 
     def __init__(
@@ -351,14 +339,17 @@ class FleetMonitor:
     ) -> tuple[int, int, list[FleetEvent]]:
         """Process one shard's slice of the batch, in batch order."""
         accepted = 0
-        rejected = 0
+        rejected = {"untrained": 0, "malformed": 0}
         events: list[FleetEvent] = []
         blackbox = self.blackbox_dir is not None
         with shard._lock:
             for pos, tick in ticks:
                 monitor = self._lane_for(shard, tick.context)
-                if monitor is None or not _well_formed(tick, monitor.width):
-                    rejected += 1
+                if monitor is None:
+                    rejected["untrained"] += 1
+                    continue
+                if not monitor.accepts(tick.metrics, tick.cpi):
+                    rejected["malformed"] += 1
                     continue
                 accepted += 1
                 # the state *entering* the tick: replay needs it to tell
@@ -381,20 +372,23 @@ class FleetMonitor:
                         )
                 if event is not None:
                     events.append(FleetEvent(pos, tick.context, event))
-        if obs.enabled() and (accepted or rejected):
+        dropped = sum(rejected.values())
+        if obs.enabled() and (accepted or dropped):
             registry = obs.metrics_registry()
             registry.counter(
                 "invarnetx_fleet_ticks_total",
                 "Ticks ingested per registry shard",
                 ("shard",),
             ).inc(accepted, shard=str(shard.index))
-            if rejected:
-                registry.counter(
-                    "invarnetx_fleet_rejected_total",
-                    "Ticks dropped: context has no trained models",
-                    ("shard",),
-                ).inc(rejected, shard=str(shard.index))
-        return accepted, rejected, events
+            for reason, count in rejected.items():
+                if count:
+                    registry.counter(
+                        "invarnetx_fleet_rejected_total",
+                        "Ticks dropped: untrained (no trained models) or "
+                        "malformed (non-finite or wrong-width)",
+                        ("shard", "reason"),
+                    ).inc(count, shard=str(shard.index), reason=reason)
+        return accepted, dropped, events
 
     def _lane_for(
         self, shard: _Shard, context: OperationContext

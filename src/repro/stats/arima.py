@@ -10,6 +10,8 @@ well-tested ARIMA implementation:
   an optional conditional-sum-of-squares (CSS) refinement via
   :func:`scipy.optimize.minimize`;
 - one-step-ahead in-sample prediction and out-of-sample forecasting;
+- streaming one-step prediction (:class:`OneStepPredictor`), O(p + d + q)
+  per sample, for the online drift check;
 - AIC-based order selection over a (p, d, q) grid.
 
 The model operates on the ``d``-times differenced series internally.  One
@@ -20,6 +22,8 @@ reconstruction terms (lagged observed values) cancel.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,7 +34,13 @@ import repro.obs as obs
 from repro.stats.timeseries import aic as _aic
 from repro.stats.timeseries import difference, is_stationary
 
-__all__ = ["ARIMAOrder", "ARIMAModel", "fit_arima", "select_order"]
+__all__ = [
+    "ARIMAOrder",
+    "ARIMAModel",
+    "OneStepPredictor",
+    "fit_arima",
+    "select_order",
+]
 
 
 class ARIMAOrder(NamedTuple):
@@ -100,28 +110,18 @@ class ARIMAModel:
     # ------------------------------------------------------------------
     # prediction machinery
     # ------------------------------------------------------------------
-    def _arma_recursion(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Run the ARMA one-step recursion over a differenced series ``w``.
-
-        Returns ``(predictions, residuals)`` aligned with ``w``; the first
-        ``max(p, q)`` entries are warm-up values predicted with partial
-        history (missing AR lags treated as the series mean, missing MA lags
-        as zero innovation).
-        """
-        p, _, q = self.order
-        n = w.size
-        preds = np.empty(n)
-        resid = np.zeros(n)
-        mean_w = float(w.mean()) if n else 0.0
-        for t in range(n):
-            acc = self.intercept
-            for i in range(1, p + 1):
-                acc += self.ar[i - 1] * (w[t - i] if t - i >= 0 else mean_w)
-            for j in range(1, q + 1):
-                acc += self.ma[j - 1] * (resid[t - j] if t - j >= 0 else 0.0)
-            preds[t] = acc
-            resid[t] = w[t] - acc
-        return preds, resid
+    def _innovations(
+        self, series: np.ndarray | list[float], what: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(series, w, innovations)``: ``series`` as an array, its
+        d-th difference ``w`` and the recursion's innovations over it."""
+        arr = np.asarray(series, dtype=float)
+        if arr.size <= self.order.d + self._warmup:
+            raise ValueError(
+                f"{what} too short ({arr.size}) for ARIMA{tuple(self.order)}"
+            )
+        w = difference(arr, self.order.d)
+        return arr, w, _arma_recursion(self.intercept, self.ar, self.ma, w)
 
     def one_step_residuals(self, series: np.ndarray | list[float]) -> np.ndarray:
         """One-step-ahead prediction residuals over a series.
@@ -138,16 +138,9 @@ class ARIMAModel:
         Returns:
             Array of the same length as ``series``.
         """
-        arr = np.asarray(series, dtype=float)
-        d = self.order.d
-        if arr.size <= d + self._warmup:
-            raise ValueError(
-                f"series too short ({arr.size}) for ARIMA{tuple(self.order)}"
-            )
-        w = difference(arr, d)
-        _, resid = self._arma_recursion(w)
+        arr, _, resid = self._innovations(series, "series")
         out = np.full(arr.size, np.nan)
-        out[d + self._warmup :] = resid[self._warmup :]
+        out[self.order.d + self._warmup :] = resid[self._warmup :]
         return out
 
     def predict_next(self, history: np.ndarray | list[float]) -> float:
@@ -159,33 +152,11 @@ class ARIMAModel:
 
         Returns:
             The one-step-ahead prediction ``y_hat[len(history)]``.
+
+        O(len(history)) per call: the reference for the streaming
+        :class:`OneStepPredictor`, which online callers carry instead.
         """
-        arr = np.asarray(history, dtype=float)
-        d = self.order.d
-        if arr.size <= d + self._warmup:
-            raise ValueError(
-                f"history too short ({arr.size}) for ARIMA{tuple(self.order)}"
-            )
-        w = difference(arr, d)
-        p, _, q = self.order
-        _, resid = self._arma_recursion(w)
-        acc = self.intercept
-        n = w.size
-        for i in range(1, p + 1):
-            acc += self.ar[i - 1] * w[n - i]
-        for j in range(1, q + 1):
-            acc += self.ma[j - 1] * resid[n - j]
-        w_next = acc
-        # Reconstruct the original-scale prediction by undoing differencing:
-        # for d=0 it is w_next itself; for d=1 it is y[-1] + w_next; for
-        # general d, add back the d-th order partial sums of the tail.
-        tails = [arr]
-        for _ in range(d):
-            tails.append(np.diff(tails[-1]))
-        y_next = w_next
-        for level in range(d - 1, -1, -1):
-            y_next = tails[level][-1] + y_next
-        return float(y_next)
+        return OneStepPredictor(self, history).prediction
 
     def forecast(
         self, history: np.ndarray | list[float], steps: int
@@ -262,6 +233,131 @@ class ARIMAModel:
         return mean, mean - half, mean + half
 
 
+def _arma_step(
+    intercept: float,
+    ar: np.ndarray,
+    ma: np.ndarray,
+    w: Sequence[float],
+    resid: Sequence[float],
+    t: int,
+    fill: float,
+) -> float:
+    """The ARMA prediction of ``w[t]`` from the values and innovations
+    before ``t``; lags before the start of ``w`` read ``fill`` (AR) and
+    zero (MA).
+
+    The one copy of the step: the CSS fit, the in-sample recursion and
+    :class:`OneStepPredictor` all run it, so their float sums are formed
+    in the same order.
+    """
+    acc = intercept
+    for i in range(1, len(ar) + 1):
+        acc += ar[i - 1] * (w[t - i] if t - i >= 0 else fill)
+    for j in range(1, len(ma) + 1):
+        acc += ma[j - 1] * (resid[t - j] if t - j >= 0 else 0.0)
+    return acc
+
+
+def _arma_recursion(
+    intercept: float, ar: np.ndarray, ma: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """One-step innovations of the ARMA recursion over a differenced
+    series ``w``, aligned with it.
+
+    The first ``max(p, q)`` entries are warm-up values predicted with
+    partial history (missing AR lags read the series mean, missing MA
+    lags a zero innovation).
+    """
+    n = w.size
+    resid = np.zeros(n)
+    mean_w = float(w.mean()) if n else 0.0
+    for t in range(n):
+        resid[t] = w[t] - _arma_step(intercept, ar, ma, w, resid, t, mean_w)
+    return resid
+
+
+def _tail_levels(tail: Sequence[float], d: int) -> list[float]:
+    """Last value of each differencing level ``0..d`` of ``tail``.
+
+    Differencing is elementwise (``b - a``, as :func:`numpy.diff`), so
+    these equal the last values of the levels of any longer series that
+    ends in ``tail`` bit for bit.  Needs ``len(tail) >= d + 1``.
+    """
+    lasts = [tail[-1]]
+    level = list(tail)
+    for _ in range(d):
+        level = [b - a for a, b in zip(level, level[1:])]
+        lasts.append(level[-1])
+    return lasts
+
+
+class OneStepPredictor:
+    """Streaming one-step predictions of a fitted model.
+
+    :meth:`ARIMAModel.predict_next` reruns the ARMA recursion over the
+    whole history on every call.  A predictor keeps only what the next
+    step needs: the last ``d + 1`` samples (one last value per
+    differencing level), and the last ``max(p, q)`` differenced values
+    and innovations.  :meth:`push` advances it one :func:`_arma_step`
+    per sample: O(p + d + q) work and constant memory however long the
+    stream runs.
+
+    Seeding runs the model's own recursion over ``history``, so the
+    first :attr:`prediction` is ``model.predict_next(history)`` bit for
+    bit.  After that:
+
+    - for ``q == 0`` no innovation enters the sum and differencing is
+      elementwise, so every prediction equals ``predict_next`` over the
+      full history bit for bit;
+    - for ``q > 0`` the innovations are carried forward instead of
+      recomputed.  The full recursion re-derives its first innovations
+      from the mean of the whole history (the fill for AR lags before
+      the start), so the two differ by a term that decays like
+      ``theta ** k`` with the ticks ``k`` since seeding.
+
+    Args:
+        model: the fitted model.
+        history: observations so far, original scale; must be longer
+            than ``d + max(p, q)``.
+
+    Attributes:
+        prediction: the one-step prediction of the next sample, original
+            scale.
+    """
+
+    def __init__(
+        self, model: ARIMAModel, history: np.ndarray | list[float]
+    ) -> None:
+        arr, w, resid = model._innovations(history, "history")
+        d, lags = model.order.d, model._warmup
+        self.model = model
+        self._tail = deque(arr[arr.size - d - 1 :].tolist(), maxlen=d + 1)
+        self._w = deque(w[w.size - lags :].tolist(), maxlen=lags)
+        self._resid = deque(resid[resid.size - lags :].tolist(), maxlen=lags)
+        self._forecast(_tail_levels(self._tail, d))
+
+    def _forecast(self, levels: list[float]) -> None:
+        """Predict the next differenced value, then undo the differencing
+        from the last value of each level (``d - 1`` down to 0)."""
+        model = self.model
+        self._w_next = _arma_step(
+            model.intercept, model.ar, model.ma,
+            self._w, self._resid, len(self._w), 0.0,
+        )
+        y_next = self._w_next
+        for level in range(model.order.d - 1, -1, -1):
+            y_next = levels[level] + y_next
+        self.prediction = float(y_next)
+
+    def push(self, value: float) -> None:
+        """Append one observed sample and advance to the next prediction."""
+        self._tail.append(float(value))
+        levels = _tail_levels(self._tail, self.model.order.d)
+        self._w.append(levels[-1])
+        self._resid.append(levels[-1] - self._w_next)
+        self._forecast(levels)
+
+
 def _hannan_rissanen(
     w: np.ndarray, p: int, q: int
 ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
@@ -325,21 +421,8 @@ def _hannan_rissanen(
 
 def _css_objective(params: np.ndarray, w: np.ndarray, p: int, q: int) -> float:
     """Conditional sum of squares for an ARMA parameter vector."""
-    intercept = params[0]
-    ar = params[1 : p + 1]
-    ma = params[p + 1 :]
-    n = w.size
-    resid = np.zeros(n)
-    warm = max(p, q)
-    mean_w = float(w.mean())
-    for t in range(n):
-        acc = intercept
-        for i in range(1, p + 1):
-            acc += ar[i - 1] * (w[t - i] if t - i >= 0 else mean_w)
-        for j in range(1, q + 1):
-            acc += ma[j - 1] * (resid[t - j] if t - j >= 0 else 0.0)
-        resid[t] = w[t] - acc
-    tail = resid[warm:]
+    resid = _arma_recursion(params[0], params[1 : p + 1], params[p + 1 :], w)
+    tail = resid[max(p, q) :]
     return float(tail @ tail)
 
 

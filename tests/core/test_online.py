@@ -252,19 +252,20 @@ class TestMonitorStateMachine:
         assert events[0].alarm_tick == alarm.tick
 
 
-class _CountingDetector:
-    """Pass-through detector wrapper that counts ``check_next`` calls."""
+def _count_checks(monitor):
+    """Wrap the monitor's drift check; the returned list grows by one
+    verdict each time the check actually runs (returns non-None)."""
+    verdicts = []
+    check = monitor.check
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
+    def spy(cpi):
+        verdict = check(cpi)
+        if verdict is not None:
+            verdicts.append(verdict)
+        return verdict
 
-    def check_next(self, history, observed):
-        self.calls += 1
-        return self.inner.check_next(history, observed)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+    monitor.check = spy
+    return verdicts
 
 
 class TestStateMachineBugfixes:
@@ -416,30 +417,28 @@ class TestStateMachineBugfixes:
     # -- bugfix 3: the detector only runs on MONITORING ticks -----------
     def test_detector_runs_only_while_monitoring(self):
         monitor = self._monitor(captured=[])
-        spy = _CountingDetector(monitor.detector)
-        monitor._models.detector = spy
+        checks = _count_checks(monitor)
         self._feed_flat(monitor, 1.0, self.WARMUP)
-        assert spy.calls == 0  # warm-up never checks
+        assert len(checks) == 0  # warm-up never checks
         _, value = self._incident(monitor, 1.0)
-        assert spy.calls == OnlineMonitor.CONSECUTIVE
+        assert len(checks) == OnlineMonitor.CONSECUTIVE
         self._feed_flat(monitor, value, self.WINDOW - self.LEAD_IN)
-        assert spy.calls == OnlineMonitor.CONSECUTIVE  # collecting: none
+        assert len(checks) == OnlineMonitor.CONSECUTIVE  # collecting: none
         self._feed_flat(monitor, value, self.COOLDOWN)
-        assert spy.calls == OnlineMonitor.CONSECUTIVE  # cool-down: none
+        assert len(checks) == OnlineMonitor.CONSECUTIVE  # cool-down: none
         self._feed_flat(monitor, value, 1)
-        assert spy.calls == OnlineMonitor.CONSECUTIVE + 1  # re-armed
+        assert len(checks) == OnlineMonitor.CONSECUTIVE + 1  # re-armed
 
     def test_precomputed_verdict_skips_detector(self):
-        """The serving fast lane hands ``observe`` its own verdict; the
-        monitor must not re-run the recursion."""
+        """The fleet hands ``observe`` the verdict it already computed
+        (and recorded); the monitor must not check the tick again."""
         monitor = self._monitor(captured=[])
-        spy = _CountingDetector(monitor.detector)
-        monitor._models.detector = spy
+        checks = _count_checks(monitor)
         self._feed_flat(monitor, 1.0, self.WARMUP)
         for _ in range(OnlineMonitor.CONSECUTIVE):
             event = monitor.observe(np.zeros(4), 1.0, anomalous=True)
         assert isinstance(event, AlarmEvent)
-        assert spy.calls == 0
+        assert len(checks) == 0
 
     def test_diagnosis_event_carries_window(self):
         captured: list[np.ndarray] = []
@@ -456,7 +455,7 @@ class TestStateMachineBugfixes:
 class TestNonFiniteCpi:
     """A standalone monitor refuses a NaN CPI instead of carrying it in
     its history, where it would break every later ARIMA(0, 1, 1) drift
-    check until it aged out of the 600-sample buffer."""
+    check: the NaN would enter the carried innovations for good."""
 
     def _ma1_monitor(self):
         context = OperationContext("wordcount", "slave-1")
@@ -494,6 +493,49 @@ class TestNonFiniteCpi:
             if isinstance(monitor.observe(np.full(4, 1.0), cpi), AlarmEvent):
                 alarms.append(t)
         assert alarms and 100 <= alarms[0] <= 103
+
+
+class TestMalformedRows:
+    """A wrong-width or non-finite metric row is refused by ``observe``
+    before anything is recorded.  Accepted into an abnormal window it
+    made the window unstackable: every later tick's ``np.asarray`` of
+    the collected rows raised, and the lane stayed in COLLECTING."""
+
+    _monitor = TestMonitorStateMachine._monitor
+    _pipeline = TestMonitorStateMachine._pipeline
+    WARMUP = TestMonitorStateMachine.WARMUP
+    WINDOW = TestMonitorStateMachine.WINDOW
+    COOLDOWN = TestMonitorStateMachine.COOLDOWN
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [np.zeros(3), np.zeros(5), np.array([1.0, np.nan, 1.0, 1.0])],
+    )
+    def test_bad_row_while_collecting_does_not_wedge(self, bad_row):
+        monitor = self._monitor(captured=[])
+        for _ in range(14):
+            monitor.observe(np.full(4, 1.0), 1.0)
+        for step in (2.0, 3.0, 4.0):  # a 3-tick CPI step: the alarm
+            event = monitor.observe(np.full(4, 1.0), step)
+        assert isinstance(event, AlarmEvent)
+        assert monitor.state is MonitorState.COLLECTING
+        tick = monitor.tick
+        with pytest.raises(ValueError, match="metric row"):
+            monitor.observe(bad_row, 4.0)
+        assert monitor.tick == tick  # refused before anything recorded
+        events = [
+            monitor.observe(np.full(4, 1.0), 4.0) for _ in range(20)
+        ]
+        assert any(isinstance(e, DiagnosisEvent) for e in events)
+        assert monitor.state is MonitorState.MONITORING
+
+    def test_accepts_is_the_observe_rule(self):
+        monitor = self._monitor()
+        assert monitor.accepts(np.zeros(4), 1.0)
+        assert not monitor.accepts(np.zeros(3), 1.0)
+        assert not monitor.accepts(np.full(4, np.inf), 1.0)
+        assert not monitor.accepts(np.zeros(4), float("nan"))
+        assert not monitor.accepts(np.zeros((1, 4)), 1.0)
 
 
 class TestInvariantTracker:

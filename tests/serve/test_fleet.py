@@ -447,3 +447,37 @@ class TestMalformedTicks:
             assert diagnosed == {c.key() for c in contexts}
             assert rejected == [1 if t == 14 else 0 for t in range(40)]
             assert fleet.rejected_total == 1
+
+    @pytest.mark.filterwarnings("ignore:fleet. dropping ticks")
+    def test_rejections_are_counted_by_reason(self):
+        """``invarnetx_fleet_rejected_total`` splits drops into untrained
+        contexts and malformed ticks; ``invarnetx top`` shows the sum."""
+        from repro.serve.top import RegistrySource, parse_prometheus
+
+        obs.configure(enabled=True)
+        trained = _contexts(2)
+        stranger = OperationContext("terasort", "node-x")
+        fleet = FleetMonitor(
+            build_pipeline(trained), shards=2, workers=0, **MONITOR_KW
+        )
+        with fleet:
+            batch = [
+                Tick(trained[0], np.zeros(4), 1.0),
+                Tick(stranger, np.zeros(4), 1.0),
+                Tick(trained[0], np.zeros(3), 1.0),
+                Tick(trained[1], np.zeros(4), float("nan")),
+                Tick(trained[1], np.zeros(4), 1.0),
+            ]
+            result = fleet.ingest(batch)
+        assert (result.accepted, result.rejected) == (2, 3)
+        families = parse_prometheus(
+            obs.metrics_registry().render_prometheus()
+        )
+        by_reason: dict[str, float] = {}
+        for labels, value in families["invarnetx_fleet_rejected_total"]:
+            by_reason[labels["reason"]] = (
+                by_reason.get(labels["reason"], 0.0) + value
+            )
+        assert by_reason == {"untrained": 1.0, "malformed": 2.0}
+        snapshot = RegistrySource(obs.metrics_registry()).snapshot()
+        assert snapshot.rejected == 3.0
