@@ -8,9 +8,9 @@ Three contracts from DESIGN.md §10/§15:
 - **infer() overhead is within noise** — turning the full layer on
   (spans, counters, histograms) must not move online inference latency
   beyond run-to-run measurement noise;
-- **the blackbox honours both** — the disabled flight recorder
-  (``NOOP_RECORDER`` behind the fleet's truthiness guard) allocates zero
-  bytes, and recording every tick into the bounded ring keeps
+- **the blackbox honours both** — a fleet without a blackbox (no
+  recorder on any lane) allocates zero bytes in blackbox frames while it
+  ingests, and recording every tick into the bounded ring keeps
   steady-state fleet ingest within noise of running without it.
 """
 
@@ -26,6 +26,10 @@ import pytest
 import repro.obs as obs
 from repro.core import InvarNetX, OperationContext
 from repro.faults.spec import FaultSpec, build_fault
+
+
+#: Lanes of :func:`steady_fleet`.
+STEADY_CONTEXTS = 8
 
 
 @pytest.fixture(autouse=True)
@@ -132,22 +136,23 @@ class TestDisabledPathAllocationFree:
         assert prof_bytes == 0
 
     def test_record_blackbox_disabled_path_bytes(self, bench_record):
-        """The fleet's disabled-recorder guard — ``if recorder:`` against
-        the falsy ``NOOP_RECORDER`` — must allocate zero bytes in
-        ``repro.obs.blackbox`` frames."""
-        from repro.obs.blackbox import NOOP_RECORDER
+        """A fleet built without ``blackbox_dir`` carries no recorder on
+        its lanes and must allocate zero bytes in ``repro.obs.blackbox``
+        frames over 2000 ingested ticks."""
+        from repro.serve import Tick
 
-        recorder = NOOP_RECORDER
-        metrics = (0.3, 0.5, 0.2, 0.4)
-        if recorder:  # warmup (never taken)
-            recorder.record(0, metrics, 1.0, None, "monitoring")
-        tracemalloc.start()
-        for t in range(2000):
-            if recorder:
-                recorder.record(t, metrics, 1.0, None, "monitoring")
-                recorder.note_transition(t, "monitoring", "collecting")
-        snapshot = tracemalloc.take_snapshot()
-        tracemalloc.stop()
+        fleet, contexts = steady_fleet(None)
+        row = np.array([0.3, 0.5, 0.2, 0.4])
+        batch = [Tick(context=c, metrics=row, cpi=1.0) for c in contexts]
+        iterations = 2000
+        with fleet:
+            fleet.ingest(batch)  # warmup: builds the lanes
+            tracemalloc.start()
+            for _ in range(iterations // len(batch)):
+                fleet.ingest(batch)
+            snapshot = tracemalloc.take_snapshot()
+            tracemalloc.stop()
+            lanes = [fleet.lane(c) for c in contexts]
         blackbox_bytes = sum(
             trace.size
             for trace in snapshot.traces
@@ -160,9 +165,9 @@ class TestDisabledPathAllocationFree:
             "obs_overhead",
             "blackbox_disabled_2000_iterations",
             obs_blackbox_bytes=blackbox_bytes,
-            iterations=2000,
+            iterations=iterations,
         )
-        assert not recorder.enabled
+        assert all(lane.recorder is None for lane in lanes)
         assert blackbox_bytes == 0
 
     def test_disabled_span_peak_within_loop_noise(self):
@@ -241,65 +246,67 @@ class TestInferOverhead:
         assert enabled <= disabled * 1.5 + 0.005
 
 
+def steady_fleet(blackbox_dir=None):
+    """A fleet of :data:`STEADY_CONTEXTS` lanes on a last-value
+    ARIMA(0,1,0) detector; returns the fleet and its contexts."""
+    from repro.core.anomaly import (
+        AnomalyDetector,
+        DriftThreshold,
+        ThresholdRule,
+    )
+    from repro.core.invariants import InvariantSet
+    from repro.serve import FleetMonitor
+    from repro.stats.arima import ARIMAModel, ARIMAOrder
+    from repro.store import ContextModels
+    from repro.telemetry.metrics import MetricCatalog
+
+    catalog = MetricCatalog(names=("m0", "m1", "m2", "m3"))
+    pipe = InvarNetX(catalog=catalog)
+    model = ARIMAModel(
+        order=ARIMAOrder(0, 1, 0),
+        ar=np.empty(0),
+        ma=np.empty(0),
+        intercept=0.0,
+        sigma2=1.0,
+    )
+    contexts = []
+    for i in range(STEADY_CONTEXTS):
+        context = OperationContext("wordcount", f"node-{i}")
+        contexts.append(context)
+        pipe.store.adopt(
+            context.key(),
+            ContextModels(
+                context=context,
+                detector=AnomalyDetector.from_artifacts(
+                    model,
+                    DriftThreshold(ThresholdRule.BETA_MAX, upper=0.5),
+                ),
+                invariants=InvariantSet(
+                    pairs=[(0, 1)],
+                    baseline=np.array([0.9]),
+                    catalog=catalog,
+                ),
+            ),
+        )
+    fleet = FleetMonitor(
+        pipe,
+        shards=2,
+        workers=0,
+        window_ticks=8,
+        warmup_ticks=12,
+        cooldown_ticks=30,
+        blackbox_dir=blackbox_dir,
+    )
+    return fleet, contexts
+
+
 class TestBlackboxSteadyStateOverhead:
     """Recording every tick into the flight ring must stay within noise
     of running the fleet without a blackbox (no alarms fire, so no
     bundle commits are in the measured path)."""
 
-    CONTEXTS = 8
+    CONTEXTS = STEADY_CONTEXTS
     TICKS = 150
-
-    @staticmethod
-    def _fleet(blackbox_dir=None):
-        from repro.core.anomaly import (
-            AnomalyDetector,
-            DriftThreshold,
-            ThresholdRule,
-        )
-        from repro.core.invariants import InvariantSet
-        from repro.serve import FleetMonitor
-        from repro.stats.arima import ARIMAModel, ARIMAOrder
-        from repro.store import ContextModels
-        from repro.telemetry.metrics import MetricCatalog
-
-        catalog = MetricCatalog(names=("m0", "m1", "m2", "m3"))
-        pipe = InvarNetX(catalog=catalog)
-        model = ARIMAModel(
-            order=ARIMAOrder(0, 1, 0),
-            ar=np.empty(0),
-            ma=np.empty(0),
-            intercept=0.0,
-            sigma2=1.0,
-        )
-        contexts = []
-        for i in range(TestBlackboxSteadyStateOverhead.CONTEXTS):
-            context = OperationContext("wordcount", f"node-{i}")
-            contexts.append(context)
-            pipe.store.adopt(
-                context.key(),
-                ContextModels(
-                    context=context,
-                    detector=AnomalyDetector.from_artifacts(
-                        model,
-                        DriftThreshold(ThresholdRule.BETA_MAX, upper=0.5),
-                    ),
-                    invariants=InvariantSet(
-                        pairs=[(0, 1)],
-                        baseline=np.array([0.9]),
-                        catalog=catalog,
-                    ),
-                ),
-            )
-        fleet = FleetMonitor(
-            pipe,
-            shards=2,
-            workers=0,
-            window_ticks=8,
-            warmup_ticks=12,
-            cooldown_ticks=30,
-            blackbox_dir=blackbox_dir,
-        )
-        return fleet, contexts
 
     def _median_ingest_seconds(
         self, blackbox_dir=None, reps: int = 5
@@ -309,7 +316,7 @@ class TestBlackboxSteadyStateOverhead:
         times = []
         row = np.array([0.3, 0.5, 0.2, 0.4])
         for _ in range(reps):
-            fleet, contexts = self._fleet(blackbox_dir)
+            fleet, contexts = steady_fleet(blackbox_dir)
             with fleet:
                 batches = [
                     [Tick(context=c, metrics=row, cpi=1.0) for c in contexts]

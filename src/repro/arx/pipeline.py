@@ -23,7 +23,7 @@ from repro.arx.invariants import (
 )
 from repro.core.anomaly import AnomalyDetector, ThresholdRule
 from repro.core.context import GLOBAL_CONTEXT, OperationContext
-from repro.core.inference import InferenceResult, RankedCause
+from repro.core.inference import rank_causes
 from repro.core.pipeline import (
     ABNORMAL_WINDOW_TICKS,
     DiagnosisResult,
@@ -160,15 +160,14 @@ class ARXInvarNet:
         window = cut_abnormal_window(node, report, ABNORMAL_WINDOW_TICKS)
         assert window is not None
         violations = slot.network.violations(window)
-        ranking = slot.database.rank(
-            violations, measure=self.config.similarity
-        )
-        causes = [RankedCause(p, s) for p, s in ranking[:top_k]]
-        matched = bool(causes) and causes[0].score >= self.config.min_similarity
         names = slot.network.pair_names()
-        hints = [names[k] for k in np.flatnonzero(violations)]
-        inference = InferenceResult(
-            causes=causes, violations=violations, hints=hints, matched=matched
+        inference = rank_causes(
+            slot.database,
+            violations,
+            [names[k] for k in np.flatnonzero(violations)],
+            measure=self.config.similarity,
+            min_similarity=self.config.min_similarity,
+            top_k=top_k,
         )
         return DiagnosisResult(
             context=context, anomaly=report, inference=inference

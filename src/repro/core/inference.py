@@ -20,7 +20,12 @@ import numpy as np
 from repro.core.invariants import EPSILON, AssociationMatrix, InvariantSet
 from repro.core.signatures import SignatureDatabase
 
-__all__ = ["RankedCause", "InferenceResult", "CauseInferenceEngine"]
+__all__ = [
+    "RankedCause",
+    "InferenceResult",
+    "rank_causes",
+    "CauseInferenceEngine",
+]
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,27 @@ class InferenceResult:
         if self.matched and self.causes:
             return self.causes[0].problem
         return None
+
+
+def rank_causes(
+    database: SignatureDatabase,
+    violations: np.ndarray,
+    hints: list[tuple[str, str]],
+    *,
+    measure: str,
+    min_similarity: float,
+    top_k: int,
+) -> InferenceResult:
+    """The ranking half of cause inference, whatever built the violation
+    tuple (MIC invariants here, ARX networks in :mod:`repro.arx`): the
+    ``top_k`` signatures most similar to ``violations``, ``matched`` when
+    the best clears ``min_similarity``."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    ranking = database.rank(violations, measure=measure)
+    causes = [RankedCause(p, s) for p, s in ranking[:top_k]]
+    matched = bool(causes) and causes[0].score >= min_similarity
+    return InferenceResult(causes, violations, hints, matched)
 
 
 class CauseInferenceEngine:
@@ -97,18 +123,13 @@ class CauseInferenceEngine:
         Returns:
             The :class:`InferenceResult`.
         """
-        if top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
-        violations = self.invariants.violations(abnormal, self.epsilon)
-        ranking = self.database.rank(violations, measure=self.measure)
-        causes = [RankedCause(p, s) for p, s in ranking[:top_k]]
-        matched = bool(causes) and causes[0].score >= self.min_similarity
-        hints = self.invariants.violated_pair_names(abnormal, self.epsilon)
-        return InferenceResult(
-            causes=causes,
-            violations=violations,
-            hints=hints,
-            matched=matched,
+        return rank_causes(
+            self.database,
+            self.invariants.violations(abnormal, self.epsilon),
+            self.invariants.violated_pair_names(abnormal, self.epsilon),
+            measure=self.measure,
+            min_similarity=self.min_similarity,
+            top_k=top_k,
         )
 
     def learn(

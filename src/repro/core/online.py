@@ -21,6 +21,12 @@ association matrix is computed by the batched MIC engine behind
 the process-wide content-hash cache (:mod:`repro.stats.micfast`): if the
 same window is ever re-scored — a replayed incident, or several monitors
 watching mirrored telemetry — the MIC sweep is not repeated.
+
+A monitor may carry its lane's flight ring
+(:attr:`OnlineMonitor.recorder`, a
+:class:`~repro.obs.blackbox.FlightRecorder`): the monitor notes its own
+state transitions into it, the feeder records each tick after
+:meth:`OnlineMonitor.observe`.  No blackbox means no recorder.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -39,6 +45,9 @@ from repro.core.context import OperationContext
 from repro.core.inference import InferenceResult
 from repro.core.pipeline import ABNORMAL_WINDOW_TICKS, InvarNetX
 from repro.stats.arima import OneStepPredictor
+
+if TYPE_CHECKING:  # pragma: no cover - repro.obs.blackbox imports this module
+    from repro.obs.blackbox import FlightRecorder
 
 __all__ = ["MonitorState", "AlarmEvent", "DiagnosisEvent", "OnlineMonitor"]
 
@@ -164,12 +173,10 @@ class OnlineMonitor:
         self._cooldown_left = 0
         self.state = MonitorState.WARMUP
         self._label = str(context)
-        #: Optional ``(tick, src, dst)`` callback fired on every state
-        #: change — the flight recorder's hook
-        #: (:class:`repro.obs.blackbox.FlightRecorder`).  Exceptions
-        #: propagate: a broken observer should fail loudly in tests, not
-        #: silently stop recording.
-        self.on_transition: Callable[[int, str, str], None] | None = None
+        #: The lane's flight ring, or None (no blackbox).  The monitor
+        #: notes its own state changes into it; whoever feeds the lane
+        #: (the fleet's drain loop) records the ticks.
+        self.recorder: FlightRecorder | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -212,8 +219,8 @@ class OnlineMonitor:
         if old is new:
             return
         self.state = new
-        if self.on_transition is not None:
-            self.on_transition(self._tick, old.value, new.value)
+        if self.recorder is not None:
+            self.recorder.note_transition(self._tick, old.value, new.value)
         if obs.enabled():
             obs.metrics_registry().counter(
                 "invarnetx_monitor_transitions_total",
@@ -283,8 +290,8 @@ class OnlineMonitor:
             anomalous: pre-computed drift verdict for this tick.  When
                 None (the default) the monitor runs its own
                 :meth:`check`; a caller that already computed the
-                verdict (the fleet records it in the flight ring first)
-                passes it here.  Ignored outside MONITORING.
+                verdict (the fleet also records it in the lane's flight
+                ring) passes it here.  Ignored outside MONITORING.
 
         Returns:
             An :class:`AlarmEvent` at the tick the problem is reported, a

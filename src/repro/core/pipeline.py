@@ -40,14 +40,6 @@ from repro.core.invariants import (
     InvariantSet,
     select_invariants,
 )
-from repro.core.persistence import (
-    load_invariants,
-    load_performance_model,
-    load_signatures,
-    save_invariants,
-    save_performance_model,
-    save_signatures,
-)
 from repro.obs.ledger import (
     RunLedger,
     config_fingerprint,
@@ -56,6 +48,11 @@ from repro.obs.ledger import (
 )
 from repro.stats.mic import MICParameters
 from repro.store import ContextModels, MemoryStore, ModelStore
+from repro.store.directory import (
+    artifact_files,
+    read_artifacts,
+    write_artifacts,
+)
 from repro.telemetry.metrics import MetricCatalog
 from repro.telemetry.trace import NodeTrace, RunTrace
 
@@ -785,27 +782,12 @@ class InvarNetX:
         Returns:
             Paths of the files written.
         """
-        slot = self._slot(context)
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        stem = f"{context.workload}_{context.node_id}"
-        written: list[Path] = []
-        if slot.detector is not None and slot.detector.model is not None:
-            assert slot.detector.threshold is not None
-            path = directory / f"model_{stem}.xml"
-            save_performance_model(
-                slot.detector.model, slot.detector.threshold, context, path
-            )
-            written.append(path)
-        if slot.invariants is not None:
-            path = directory / f"invariants_{stem}.xml"
-            save_invariants(slot.invariants, context, path)
-            written.append(path)
-        if len(slot.database):
-            path = directory / f"signatures_{stem}.xml"
-            save_signatures(slot.database, path)
-            written.append(path)
-        return written
+        return write_artifacts(
+            self._slot(context),
+            context,
+            Path(directory),
+            artifact_files(f"{context.workload}_{context.node_id}"),
+        )
 
     def load_context(
         self, context: OperationContext, directory: str | Path
@@ -823,25 +805,14 @@ class InvarNetX:
             The rehydrated slot, adopted into the pipeline's store.
         """
         directory = Path(directory)
-        stem = f"{context.workload}_{context.node_id}"
-        models = ContextModels(context=self._resolved(context))
-        found = False
-        model_path = directory / f"model_{stem}.xml"
-        if model_path.exists():
-            arima, threshold, _ = load_performance_model(model_path)
-            models.detector = AnomalyDetector.from_artifacts(arima, threshold)
-            found = True
-        invariants_path = directory / f"invariants_{stem}.xml"
-        if invariants_path.exists():
-            models.invariants, _ = load_invariants(invariants_path)
-            found = True
-        signatures_path = directory / f"signatures_{stem}.xml"
-        if signatures_path.exists():
-            models.database = load_signatures(signatures_path)
-            found = True
+        names = artifact_files(f"{context.workload}_{context.node_id}")
+        found = [k for k, name in names.items() if (directory / name).exists()]
         if not found:
             raise FileNotFoundError(
                 f"no artifacts for {context} under {directory}"
             )
+        models = read_artifacts(
+            self._resolved(context), directory, names, found
+        )
         self.store.adopt(self._key(context), models)
         return models

@@ -110,7 +110,6 @@ __all__ = [
     # lazy (repro.obs.blackbox):
     "FlightRecorder",
     "FlightSnapshot",
-    "NOOP_RECORDER",
     "IncidentBundle",
     "commit_bundle",
     "load_bundle",
@@ -224,7 +223,6 @@ _LAZY = {
     "default_objectives": "repro.obs.slo",
     "FlightRecorder": "repro.obs.blackbox",
     "FlightSnapshot": "repro.obs.blackbox",
-    "NOOP_RECORDER": "repro.obs.blackbox",
     "IncidentBundle": "repro.obs.blackbox",
     "commit_bundle": "repro.obs.blackbox",
     "load_bundle": "repro.obs.blackbox",

@@ -7,10 +7,10 @@ state-machine transitions and model revision that produced the diagnosis
 
 - :class:`FlightRecorder` — a per-lane bounded ring of
   :class:`TickRecord`\\ s (raw metric row, CPI, drift verdict, monitor
-  state, active request id) plus the recent state transitions.  Like the
-  tracer and the profiler it has a proven zero-allocation disabled path:
-  when the blackbox is off the fleet holds the falsy :data:`NOOP_RECORDER`
-  singleton and hot loops skip it behind one truthiness check
+  state, active request id) plus the recent state transitions.  It is an
+  attribute of the lane (:attr:`~repro.core.online.OnlineMonitor.recorder`);
+  when the blackbox is off the lane carries none, and the fleet's
+  disabled path allocates nothing here
   (``benchmarks/test_perf_obs_overhead.py`` holds it to zero bytes).
 
 - **Incident bundles** — on diagnosis, :func:`commit_bundle` writes a
@@ -73,7 +73,6 @@ __all__ = [
     "TransitionRecord",
     "FlightSnapshot",
     "FlightRecorder",
-    "NOOP_RECORDER",
     "IncidentBundle",
     "commit_bundle",
     "load_bundle",
@@ -185,47 +184,12 @@ class FlightSnapshot:
         )
 
 
-class _NoopFlightRecorder:
-    """Falsy, allocation-free stand-in when the blackbox is off.
-
-    Mirrors :data:`repro.obs.tracing.NOOP_SPAN`: hot loops hold one
-    process-wide singleton and guard all recording work behind
-    ``if recorder:`` — the disabled path is one truthiness check and, at
-    worst, a method call that allocates nothing.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return False
-
-    def record(
-        self,
-        tick: int,
-        metrics: Any,
-        cpi: float,
-        verdict: bool | None,
-        state: str,
-        request_id: str = "",
-    ) -> None:
-        return None
-
-    def note_transition(self, tick: int, src: str, dst: str) -> None:
-        return None
-
-
-#: The process-wide disabled recorder.
-NOOP_RECORDER = _NoopFlightRecorder()
-
-
 class FlightRecorder:
     """Bounded flight ring of one monitor lane.
 
-    Appends happen on ingest threads under the owning shard's lock;
-    snapshots happen on whichever thread commits the bundle — so the
-    ring carries its own (leaf) lock rather than borrowing the shard's.
+    Appends and the diagnosing tick's snapshot happen on ingest threads
+    under the owning shard's lock; the ring still carries its own (leaf)
+    lock so a snapshot taken from anywhere else is consistent too.
 
     Args:
         context: the operation context the lane watches.
@@ -233,8 +197,6 @@ class FlightRecorder:
         model_revision: the store's publish counter for the context's
             models at lane construction (recorded in every bundle).
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -252,9 +214,6 @@ class FlightRecorder:
         self._transitions: deque[TransitionRecord] = deque(  # repro: guarded-by=_lock
             maxlen=_TRANSITION_CAPACITY
         )
-
-    def __bool__(self) -> bool:
-        return True
 
     def record(
         self,
@@ -405,7 +364,7 @@ def commit_bundle(
         pipeline: the trained pipeline that produced the diagnosis.
         context: the diagnosed operation context.
         event: the diagnosis (must carry its abnormal window).
-        snapshot: the lane's flight ring at diagnosis time.
+        snapshot: the lane's flight ring cut at the diagnosing tick.
         request_id: the request id of the batch that completed the
             window ("" outside HTTP ingest).
 

@@ -17,19 +17,22 @@ contexts (§3.2's deployment unit).  :class:`FleetMonitor` owns them all:
   context warm-starts again on its next tick);
 - **one drift check** — each tick's verdict comes from the lane's own
   :meth:`~repro.core.online.OnlineMonitor.check` (O(p + d + q), every
-  ARIMA order) and goes to the flight recorder and ``observe``;
+  ARIMA order) and goes to ``observe`` and the lane's flight ring;
 - an **incident sink** — every alarm/diagnosis is counted, logged,
   ledger-recorded (when the pipeline has an active run ledger) and the
   diagnosis windows are retained in a bounded ring so
   :meth:`FleetMonitor.explain` can produce the full evidence report on
   demand (:func:`repro.obs.explain_window`; the MIC sweep hits the
   content-hash cache because diagnosis already scored that window);
-- the **blackbox** — pass ``blackbox_dir`` and every lane gets a
-  :class:`~repro.obs.blackbox.FlightRecorder` (bounded ring of raw
-  ticks, drift verdicts, state transitions and request ids); each
-  diagnosis is committed as a content-fingerprinted incident bundle
-  that survives process exit, incident-ring eviction, and lane
-  eviction, and that ``invarnetx replay`` re-runs deterministically.
+- the **blackbox** — pass ``blackbox_dir`` and every lane carries a
+  :class:`~repro.obs.blackbox.FlightRecorder` as
+  :attr:`OnlineMonitor.recorder` (bounded ring of raw ticks, drift
+  verdicts, state transitions and request ids).  The drain loop cuts
+  the ring at the diagnosing tick and the snapshot travels with the
+  event (:attr:`FleetEvent.flight`), so each diagnosis is committed as
+  a content-fingerprinted incident bundle whose bytes do not depend on
+  batching, and that survives process exit, incident-ring eviction,
+  and lane eviction; ``invarnetx replay`` re-runs it deterministically.
 
 The store the pipeline carries is wrapped in a
 :class:`~repro.store.locked.LockedStore` at construction: lane
@@ -39,6 +42,7 @@ the registry's resident dict.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import threading
 import zlib
@@ -56,6 +60,7 @@ from repro.core.pipeline import InvarNetX
 from repro.obs.blackbox import (
     DEFAULT_CAPACITY,
     FlightRecorder,
+    FlightSnapshot,
     commit_bundle,
 )
 from repro.store import ContextKey, LockedStore
@@ -105,11 +110,17 @@ class FleetEvent:
             deterministic however many threads processed the batch).
         context: the context whose monitor fired.
         event: the alarm or diagnosis.
+        flight: the lane's flight ring cut at the diagnosing tick (a
+            diagnosis on a blackbox fleet; None otherwise) — the
+            evidence the incident bundle is committed from.
     """
 
     index: int
     context: OperationContext
     event: AlarmEvent | DiagnosisEvent
+    flight: FlightSnapshot | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -154,10 +165,6 @@ class _Shard:
         self.max_lanes = max_lanes
         self._lock = threading.RLock()
         self._lanes: OrderedDict[ContextKey, OnlineMonitor] = OrderedDict()  # repro: guarded-by=_lock
-        # flight recorders live and die in lockstep with their lane; the
-        # ring itself carries a leaf lock, so snapshots for bundle
-        # commits never hold the shard up
-        self._recorders: OrderedDict[ContextKey, FlightRecorder] = OrderedDict()  # repro: guarded-by=_lock
         self.evictions = 0  # repro: guarded-by=_lock
 
 
@@ -175,10 +182,10 @@ class FleetMonitor:
         workers: ingest thread count (None → one per shard; 0 → process
             batches inline on the calling thread).
         max_incidents: diagnosis windows retained for :meth:`explain`.
-        blackbox_dir: incidents directory; when set, every lane records
-            a flight ring and every diagnosis is committed there as an
-            incident bundle.  None (default) disables the blackbox — the
-            hot path then carries no recorder at all.
+        blackbox_dir: incidents directory; when set, every lane carries
+            a flight ring (:attr:`OnlineMonitor.recorder`) and every
+            diagnosis is committed there as an incident bundle.  None
+            (default) disables the blackbox: no lane carries a recorder.
         blackbox_capacity: flight-ring length per lane.
         **monitor_kwargs: forwarded to every :class:`OnlineMonitor`
             (``window_ticks``, ``warmup_ticks``, ``cooldown_ticks``).
@@ -323,7 +330,7 @@ class FleetMonitor:
             part = self.ingest(ticks[start : start + batch_size])
             offset = start
             total.events.extend(
-                FleetEvent(e.index + offset, e.context, e.event)
+                dataclasses.replace(e, index=e.index + offset)
                 for e in part.events
             )
             total.accepted += part.accepted
@@ -341,7 +348,6 @@ class FleetMonitor:
         accepted = 0
         rejected = {"untrained": 0, "malformed": 0}
         events: list[FleetEvent] = []
-        blackbox = self.blackbox_dir is not None
         with shard._lock:
             for pos, tick in ticks:
                 monitor = self._lane_for(shard, tick.context)
@@ -359,19 +365,25 @@ class FleetMonitor:
                 event = monitor.observe(
                     tick.metrics, float(tick.cpi), anomalous=verdict
                 )
-                if blackbox:
-                    recorder = shard._recorders.get(tick.context.key())
-                    if recorder:
-                        recorder.record(
-                            monitor.tick,
-                            tick.metrics,
-                            float(tick.cpi),
-                            verdict,
-                            state,
-                            request_id,
-                        )
-                if event is not None:
-                    events.append(FleetEvent(pos, tick.context, event))
+                recorder = monitor.recorder
+                if recorder is not None:
+                    recorder.record(
+                        monitor.tick,
+                        tick.metrics,
+                        float(tick.cpi),
+                        verdict,
+                        state,
+                        request_id,
+                    )
+                if event is None:
+                    continue
+                flight = None
+                if recorder is not None and isinstance(event, DiagnosisEvent):
+                    # cut the evidence at the diagnosing tick: later
+                    # ticks of the batch, or the lane's eviction, must
+                    # neither change nor lose it
+                    flight = recorder.snapshot()
+                events.append(FleetEvent(pos, tick.context, event, flight))
         dropped = sum(rejected.values())
         if obs.enabled() and (accepted or dropped):
             registry = obs.metrics_registry()
@@ -412,19 +424,16 @@ class FleetMonitor:
         )
         shard._lanes[key] = monitor
         if self.blackbox_dir is not None:
-            recorder = FlightRecorder(
+            monitor.recorder = FlightRecorder(
                 context,
                 capacity=self.blackbox_capacity,
                 model_revision=int(self.pipeline.store.revision(key)),
             )
-            monitor.on_transition = recorder.note_transition
-            shard._recorders[key] = recorder
         if (
             shard.max_lanes is not None
             and len(shard._lanes) > shard.max_lanes
         ):
             evicted_key, _ = shard._lanes.popitem(last=False)
-            shard._recorders.pop(evicted_key, None)
             shard.evictions += 1
             if obs.enabled():
                 obs.metrics_registry().counter(
@@ -447,8 +456,10 @@ class FleetMonitor:
 
         Alarm/diagnosis counters are already incremented by the monitor
         itself; the fleet adds the cross-cutting record keeping.  The
-        bundle is committed *before* the ring insert, so an incident
-        evicted from the bounded ring has always already reached disk.
+        bundle is committed from the flight snapshot the event carries
+        (no lane lookup, so a lane evicted since cannot lose it), and
+        *before* the ring insert, so an incident evicted from the
+        bounded ring has always already reached disk.
         """
         context = fleet_event.context
         event = fleet_event.event
@@ -456,28 +467,24 @@ class FleetMonitor:
             return
         key = context.key()
         bundle_id: str | None = None
-        if self.blackbox_dir is not None:
-            shard = self._shards[shard_index(key, len(self._shards))]
-            with shard._lock:
-                recorder = shard._recorders.get(key)
-            if recorder is not None:
-                bundle = commit_bundle(
-                    self.blackbox_dir,
-                    self.pipeline,
-                    context,
-                    event,
-                    recorder.snapshot(),
-                    request_id=request_id,
-                )
-                bundle_id = bundle.bundle_id
-                with self._incident_lock:
-                    self.bundles_committed += 1
-                if obs.enabled():
-                    obs.metrics_registry().counter(
-                        "invarnetx_incident_bundles_total",
-                        "Incident bundles committed by the blackbox",
-                        ("shard",),
-                    ).inc(shard=str(shard.index))
+        if self.blackbox_dir is not None and fleet_event.flight is not None:
+            bundle = commit_bundle(
+                self.blackbox_dir,
+                self.pipeline,
+                context,
+                event,
+                fleet_event.flight,
+                request_id=request_id,
+            )
+            bundle_id = bundle.bundle_id
+            with self._incident_lock:
+                self.bundles_committed += 1
+            if obs.enabled():
+                obs.metrics_registry().counter(
+                    "invarnetx_incident_bundles_total",
+                    "Incident bundles committed by the blackbox",
+                    ("shard",),
+                ).inc(shard=str(shard_index(key, len(self._shards))))
         with self._incident_lock:
             self._incidents[key] = RetainedIncident(
                 event=event, request_id=request_id, bundle_id=bundle_id

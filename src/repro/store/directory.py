@@ -35,6 +35,7 @@ from __future__ import annotations
 import logging
 import shutil
 from collections import OrderedDict
+from collections.abc import Collection, Mapping
 from pathlib import Path
 from urllib.parse import quote, unquote
 
@@ -62,11 +63,72 @@ _log = obs.get_logger("store.directory")
 #: On-disk manifest schema version; bump on incompatible layout changes.
 MANIFEST_FORMAT = 1
 
-_ARTIFACT_FILES = {
-    "model": "model.xml",
-    "invariants": "invariants.xml",
-    "signatures": "signatures.xml",
-}
+
+def artifact_files(stem: str = "") -> dict[str, str]:
+    """File name per artifact kind (the manifest's ``artifacts``
+    vocabulary): ``model.xml`` ..., or ``model_<stem>.xml`` ... when
+    several contexts share one directory."""
+    suffix = f"_{stem}" if stem else ""
+    kinds = ("model", "invariants", "signatures")
+    return {kind: f"{kind}{suffix}.xml" for kind in kinds}
+
+
+_ARTIFACT_FILES = artifact_files()
+
+
+def write_artifacts(
+    models: ContextModels,
+    context: OperationContext,
+    directory: Path,
+    names: Mapping[str, str],
+) -> list[Path]:
+    """Write the slot's artifacts (§3.2/§3.3 XML formats) into
+    ``directory`` under ``names``; returns the paths written."""
+    directory.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    present = models.artifacts()
+    if "model" in present:
+        detector = models.detector
+        assert detector is not None and detector.model is not None
+        assert detector.threshold is not None
+        path = directory / names["model"]
+        save_performance_model(
+            detector.model, detector.threshold, context, path
+        )
+        written.append(path)
+    if "invariants" in present:
+        assert models.invariants is not None
+        path = directory / names["invariants"]
+        save_invariants(models.invariants, context, path)
+        written.append(path)
+    if "signatures" in present:
+        path = directory / names["signatures"]
+        save_signatures(models.database, path)
+        written.append(path)
+    return written
+
+
+def read_artifacts(
+    context: OperationContext,
+    directory: Path,
+    names: Mapping[str, str],
+    kinds: Collection[str],
+) -> ContextModels:
+    """Rehydrate a slot from the ``kinds`` artifacts :func:`write_artifacts`
+    put in ``directory``; a kind not listed stays unset."""
+    models = ContextModels(context=context)
+    if "model" in kinds:
+        arima, threshold, _ = load_performance_model(
+            directory / names["model"]
+        )
+        models.detector = AnomalyDetector.from_artifacts(arima, threshold)
+    if "invariants" in kinds:
+        models.invariants, _ = load_invariants(
+            directory / names["invariants"]
+        )
+    if "signatures" in kinds:
+        models.database = load_signatures(directory / names["signatures"])
+    return models
 
 
 def context_dirname(key: ContextKey) -> str:
@@ -204,23 +266,10 @@ class DirectoryStore(ModelStore):
             context = OperationContext(
                 workload=key[0], node_id=key[1], ip=str(entry.get("ip", ""))
             )
-            models = ContextModels(context=context)
             artifacts = entry.get("artifacts", [])
-            if "model" in artifacts:
-                arima, threshold, _ = load_performance_model(
-                    directory / _ARTIFACT_FILES["model"]
-                )
-                models.detector = AnomalyDetector.from_artifacts(
-                    arima, threshold
-                )
-            if "invariants" in artifacts:
-                models.invariants, _ = load_invariants(
-                    directory / _ARTIFACT_FILES["invariants"]
-                )
-            if "signatures" in artifacts:
-                models.database = load_signatures(
-                    directory / _ARTIFACT_FILES["signatures"]
-                )
+            models = read_artifacts(
+                context, directory, _ARTIFACT_FILES, artifacts
+            )
             if sp:
                 sp.set(context=str(context), artifacts=len(artifacts))
         if obs.enabled():
@@ -284,27 +333,10 @@ class DirectoryStore(ModelStore):
                 workload=key[0], node_id=key[1]
             )
             directory = self._context_dir(key)
-            directory.mkdir(parents=True, exist_ok=True)
-            written: list[Path] = []
+            written = write_artifacts(
+                models, context, directory, _ARTIFACT_FILES
+            )
             present = models.artifacts()
-            if "model" in present:
-                detector = models.detector
-                assert detector is not None and detector.model is not None
-                assert detector.threshold is not None
-                path = directory / _ARTIFACT_FILES["model"]
-                save_performance_model(
-                    detector.model, detector.threshold, context, path
-                )
-                written.append(path)
-            if "invariants" in present:
-                assert models.invariants is not None
-                path = directory / _ARTIFACT_FILES["invariants"]
-                save_invariants(models.invariants, context, path)
-                written.append(path)
-            if "signatures" in present:
-                path = directory / _ARTIFACT_FILES["signatures"]
-                save_signatures(models.database, path)
-                written.append(path)
             for name, filename in _ARTIFACT_FILES.items():
                 if name not in present:
                     (directory / filename).unlink(missing_ok=True)

@@ -29,7 +29,6 @@ from repro.obs.blackbox import (
     BUNDLE_FORMAT,
     BUNDLE_MANIFEST,
     DEFAULT_CAPACITY,
-    NOOP_RECORDER,
     FlightRecorder,
     FlightSnapshot,
     commit_bundle,
@@ -37,6 +36,7 @@ from repro.obs.blackbox import (
     replay_bundle,
 )
 from repro.serve import FleetMonitor, Tick
+from repro.serve.incidents import scan_bundles
 from repro.stats.arima import ARIMAModel, ARIMAOrder
 from repro.store import ContextModels
 from repro.telemetry.metrics import MetricCatalog
@@ -87,6 +87,23 @@ def incident_pipeline(
     return pipe
 
 
+def fault_ticks(
+    context: OperationContext, ticks: int, fault_start: int = 14
+) -> list[Tick]:
+    """One context's tick stream: flat CPI, then a +1/tick ramp from
+    ``fault_start`` (never, when it is ``>= ticks``)."""
+    return [
+        Tick(
+            context=context,
+            metrics=np.array([1.0, 2.0, 3.0, 4.0]) + t * 0.01,
+            cpi=1.0 + (t - fault_start + 1) * 1.0
+            if t >= fault_start
+            else 1.0,
+        )
+        for t in range(ticks)
+    ]
+
+
 def drive_fault(
     fleet: FleetMonitor,
     contexts: list[OperationContext],
@@ -95,19 +112,15 @@ def drive_fault(
     fault_start: int = 14,
 ) -> list:
     """Ingest a CPI-ramp fault on ``faulty`` contexts; returns events."""
+    streams = [
+        fault_ticks(
+            context, ticks, fault_start if context.key() in faulty else ticks
+        )
+        for context in contexts
+    ]
     events = []
     for t in range(ticks):
-        batch = []
-        for context in contexts:
-            fault = context.key() in faulty and t >= fault_start
-            cpi = 1.0 + (t - fault_start + 1) * 1.0 if fault else 1.0
-            batch.append(
-                Tick(
-                    context=context,
-                    metrics=np.array([1.0, 2.0, 3.0, 4.0]) + t * 0.01,
-                    cpi=cpi,
-                )
-            )
+        batch = [stream[t] for stream in streams]
         result = fleet.ingest(batch, request_id=f"req-{t:03d}")
         events.extend(result.events)
     return events
@@ -185,29 +198,22 @@ class TestFlightRecorder:
         assert restored.model_revision == 3
         assert restored.ticks[0].request_id == "req-1"
 
-    def test_noop_recorder_is_falsy_and_inert(self):
-        assert not NOOP_RECORDER
-        assert NOOP_RECORDER.enabled is False
-        # inert: recording through it is a no-op, not an error
-        NOOP_RECORDER.record(1, (1.0,), 1.0, True, "monitoring")
-        NOOP_RECORDER.note_transition(1, "monitoring", "alarmed")
-        assert not hasattr(NOOP_RECORDER, "__dict__")  # __slots__ = ()
-
     def test_disabled_path_allocates_zero_bytes(self):
-        """The fleet's guard pattern — ``if recorder: recorder.record``
-        against the NOOP singleton — must allocate nothing in blackbox
-        frames (same contract as the tracer and profiler)."""
-        recorder = NOOP_RECORDER
-        metrics = (1.0, 2.0, 3.0, 4.0)
-        if recorder:  # warmup
-            recorder.record(0, metrics, 1.0, None, "monitoring")
-        tracemalloc.start()
-        for t in range(2000):
-            if recorder:
-                recorder.record(t, metrics, 1.0, None, "monitoring")
-                recorder.note_transition(t, "monitoring", "alarmed")
-        snapshot = tracemalloc.take_snapshot()
-        tracemalloc.stop()
+        """A fleet without a blackbox directory carries no recorder on
+        its lanes and allocates nothing in blackbox frames while it
+        ingests (same contract as the tracer and profiler)."""
+        context = OperationContext("wordcount", "node-0")
+        with FleetMonitor(
+            incident_pipeline([context]), shards=1, workers=0
+        ) as fleet:
+            tick = fault_ticks(context, 1)[0]
+            fleet.ingest([tick])  # warmup: builds the lane
+            tracemalloc.start()
+            for _ in range(2000):
+                fleet.ingest([tick])
+            snapshot = tracemalloc.take_snapshot()
+            tracemalloc.stop()
+            assert fleet.lane(context).recorder is None
         blackbox_bytes = sum(
             trace.size
             for trace in snapshot.traces
@@ -323,6 +329,81 @@ class TestBundleCommit:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match="format"):
             load_bundle(path)
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under ``root``, keyed by its relative path."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestEvidenceCut:
+    """The flight ring is cut at the diagnosing tick and travels with the
+    event, so what a bundle holds depends on the lane's stream alone."""
+
+    KNOBS = dict(window_ticks=8, warmup_ticks=12, cooldown_ticks=4)
+
+    def test_bundle_survives_same_batch_lane_eviction(self, tmp_path):
+        lane_a = OperationContext("wordcount", "node-a", ip="10.0.0.1")
+        lane_b = OperationContext("wordcount", "node-b", ip="10.0.0.2")
+        incidents = tmp_path / "incidents"
+        ticks = fault_ticks(lane_a, 20)  # lane A diagnoses at tick 19
+        with FleetMonitor(
+            incident_pipeline([lane_a, lane_b]),
+            shards=1,
+            max_lanes_per_shard=1,
+            workers=0,
+            blackbox_dir=incidents,
+            **self.KNOBS,
+        ) as fleet:
+            fleet.ingest(ticks[:19])
+            # lane B's tick evicts lane A right after it diagnosed
+            result = fleet.ingest([ticks[19], fault_ticks(lane_b, 1)[0]])
+            assert fleet.lane(lane_a) is None
+            diagnoses = [
+                e for e in result.events
+                if isinstance(e.event, DiagnosisEvent)
+            ]
+            assert len(diagnoses) == 1
+            assert fleet.bundles_committed == 1
+            retained = dict(fleet.retained_incidents())[lane_a.key()]
+        assert retained.bundle_id is not None
+        assert [r.bundle_id for r in scan_bundles(incidents)] == [
+            retained.bundle_id
+        ]
+
+    def test_bundle_bytes_do_not_depend_on_batching(self, tmp_path):
+        context = OperationContext("wordcount", "node-0", ip="10.0.0.1")
+        # 30 ticks: diagnoses at ticks 19 and 29; in one 256-tick batch
+        # the first lands in a ring that has already moved on to tick 29
+        stream = fault_ticks(context, 30)
+        trees = []
+        for batch_size in (1, 256):
+            incidents = tmp_path / f"batch-{batch_size}"
+            with FleetMonitor(
+                incident_pipeline([context]),
+                shards=1,
+                workers=0,
+                blackbox_dir=incidents,
+                **self.KNOBS,
+            ) as fleet:
+                result = fleet.run_stream(stream, batch_size=batch_size)
+            diagnoses = [
+                e for e in result.events
+                if isinstance(e.event, DiagnosisEvent)
+            ]
+            assert [e.event.tick for e in diagnoses] == [19, 29]
+            assert len(committed_dirs(incidents)) == 2
+            for path in committed_dirs(incidents):
+                bundle = load_bundle(path)
+                flight = bundle.load_flight()
+                assert flight.ticks[-1].tick == bundle.manifest["tick"]
+            trees.append(tree_bytes(incidents))
+        assert trees[0]
+        assert trees[0] == trees[1]
 
 
 def _id_of(fleet_event, incidents: Path) -> str:
