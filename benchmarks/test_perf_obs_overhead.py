@@ -145,14 +145,13 @@ class TestDisabledPathAllocationFree:
         row = np.array([0.3, 0.5, 0.2, 0.4])
         batch = [Tick(context=c, metrics=row, cpi=1.0) for c in contexts]
         iterations = 2000
-        with fleet:
-            fleet.ingest(batch)  # warmup: builds the lanes
-            tracemalloc.start()
-            for _ in range(iterations // len(batch)):
-                fleet.ingest(batch)
-            snapshot = tracemalloc.take_snapshot()
-            tracemalloc.stop()
-            lanes = [fleet.lane(c) for c in contexts]
+        fleet.ingest(batch)  # warmup: builds the lanes
+        tracemalloc.start()
+        for _ in range(iterations // len(batch)):
+            fleet.ingest(batch)
+        snapshot = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+        lanes = [fleet.lane(c) for c in contexts]
         blackbox_bytes = sum(
             trace.size
             for trace in snapshot.traces
@@ -291,7 +290,6 @@ def steady_fleet(blackbox_dir=None):
     fleet = FleetMonitor(
         pipe,
         shards=2,
-        workers=0,
         window_ticks=8,
         warmup_ticks=12,
         cooldown_ticks=30,
@@ -317,15 +315,14 @@ class TestBlackboxSteadyStateOverhead:
         row = np.array([0.3, 0.5, 0.2, 0.4])
         for _ in range(reps):
             fleet, contexts = steady_fleet(blackbox_dir)
-            with fleet:
-                batches = [
-                    [Tick(context=c, metrics=row, cpi=1.0) for c in contexts]
-                    for _ in range(self.TICKS)
-                ]
-                t0 = time.perf_counter()
-                for batch in batches:
-                    fleet.ingest(batch)
-                times.append(time.perf_counter() - t0)
+            batches = [
+                [Tick(context=c, metrics=row, cpi=1.0) for c in contexts]
+                for _ in range(self.TICKS)
+            ]
+            t0 = time.perf_counter()
+            for batch in batches:
+                fleet.ingest(batch)
+            times.append(time.perf_counter() - t0)
         return statistics.median(times)
 
     def test_enabled_recorder_within_noise_of_disabled(

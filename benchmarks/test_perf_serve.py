@@ -135,9 +135,7 @@ def _run_naive(contexts, ticks, rows):
 
 
 def _run_fleet(contexts, ticks, rows):
-    fleet = FleetMonitor(
-        _pipeline(contexts), shards=8, workers=0, **MONITOR_KW
-    )
+    fleet = FleetMonitor(_pipeline(contexts), shards=8, **MONITOR_KW)
     index_of = {c.key(): i for i, c in enumerate(contexts)}
     events = []
     start = time.perf_counter()
@@ -153,7 +151,6 @@ def _run_fleet(contexts, ticks, rows):
                  fe.event.tick)
             )
     elapsed = time.perf_counter() - start
-    fleet.close()
     return events, elapsed
 
 

@@ -207,7 +207,6 @@ def main() -> None:
 
     server.shutdown()
     server.server_close()
-    fleet.close()
     configure(enabled=False)
     print("done: operations surface exercised end to end")
 

@@ -153,7 +153,6 @@ def main() -> None:
 
     server.shutdown()
     server.server_close()
-    fleet.close()
     print("\ndone: fleet served", health["contexts"], "contexts in-process")
 
 

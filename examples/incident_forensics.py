@@ -104,7 +104,6 @@ def main() -> None:
     fleet = FleetMonitor(
         build_registry(),
         shards=2,
-        workers=0,
         window_ticks=8,
         warmup_ticks=12,
         cooldown_ticks=30,
@@ -113,13 +112,12 @@ def main() -> None:
 
     # ------------------------------------------- the platform fault
     print("== ingesting 22 ticks; CPI ramp on 3 of 4 nodes from tick 14")
-    with fleet:
-        for tick in range(22):
-            result = fleet.ingest(batch(tick), request_id=f"req-{tick:03d}")
-            for event in result.events:
-                name = type(event.event).__name__
-                print(f"tick {tick:>2d}: {name} on {event.context}")
-        print(f"incident bundles committed: {fleet.bundles_committed}")
+    for tick in range(22):
+        result = fleet.ingest(batch(tick), request_id=f"req-{tick:03d}")
+        for event in result.events:
+            name = type(event.event).__name__
+            print(f"tick {tick:>2d}: {name} on {event.context}")
+    print(f"incident bundles committed: {fleet.bundles_committed}")
 
     # --------------------------------- fleet-wide incident correlation
     records = scan_bundles(incidents_dir)

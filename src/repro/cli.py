@@ -428,10 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-blackbox", action="store_true",
         help="disable the flight recorder and incident bundles",
     )
-    serve.add_argument(
-        "--blackbox-capacity", type=int, default=None, metavar="TICKS",
-        help="flight-recorder ring capacity per lane",
-    )
 
     incidents = sub.add_parser(
         "incidents",
@@ -1103,9 +1099,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.blackbox if args.blackbox is not None
             else args.dir / "incidents"
         )
-    fleet_kwargs = {}
-    if args.blackbox_capacity is not None:
-        fleet_kwargs["blackbox_capacity"] = args.blackbox_capacity
     fleet = FleetMonitor(
         pipeline,
         shards=args.shards,
@@ -1113,7 +1106,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         warmup_ticks=args.warmup_ticks,
         cooldown_ticks=args.cooldown_ticks,
         blackbox_dir=blackbox_dir,
-        **fleet_kwargs,
     )
     server = build_server(fleet, host=args.host, port=args.port)
     host, port = server.server_address[:2]
@@ -1146,7 +1138,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if slo_thread is not None:
             slo_thread.join(timeout=5)
         server.server_close()
-        fleet.close()
     return 0
 
 

@@ -86,8 +86,9 @@ BUNDLE_FORMAT = 1
 #: The commit point: a bundle directory without it is an aborted attempt.
 BUNDLE_MANIFEST = MANIFEST_NAME
 
-#: Default flight-ring length — comfortably covers the abnormal window
-#: (24 ticks) plus the lead-in and the pre-alarm monitoring history.
+#: Flight-ring length — covers the abnormal window
+#: (``ABNORMAL_WINDOW_TICKS`` = 30 ticks, its alarm lead-in included)
+#: plus 34 ticks of the pre-alarm monitoring history.
 DEFAULT_CAPACITY = 64
 
 #: Cause-list length the online monitor diagnoses with
@@ -187,9 +188,10 @@ class FlightSnapshot:
 class FlightRecorder:
     """Bounded flight ring of one monitor lane.
 
-    Appends and the diagnosing tick's snapshot happen on ingest threads
-    under the owning shard's lock; the ring still carries its own (leaf)
-    lock so a snapshot taken from anywhere else is consistent too.
+    Appends and the diagnosing tick's snapshot happen on the ingesting
+    caller's thread under the owning shard's lock; the ring still
+    carries its own (leaf) lock so a snapshot taken from anywhere else
+    is consistent too.
 
     Args:
         context: the operation context the lane watches.

@@ -7,8 +7,9 @@ multiplex them all.  This package is that process's core:
 
 - :class:`FleetMonitor` — sharded registry of per-context
   :class:`~repro.core.online.OnlineMonitor` lanes (lazy construction,
-  warm start from the attached model store, LRU eviction), a thread-pool
-  ingest path, and the incident sink.  Every lane's drift check is the
+  warm start from the attached model store, LRU eviction), one ingest
+  path that drains each batch on the calling thread, and the incident
+  sink.  Every lane's drift check is the
   monitor's own streaming check (O(p + d + q) per tick for every ARIMA
   order, :class:`~repro.stats.arima.OneStepPredictor`);
 - :mod:`repro.serve.http` — the stdlib-only HTTP/JSON transport behind

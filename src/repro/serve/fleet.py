@@ -6,7 +6,9 @@ contexts (§3.2's deployment unit).  :class:`FleetMonitor` owns them all:
 - a **sharded registry** of :class:`~repro.core.online.OnlineMonitor`
   lanes — contexts hash to shards (:func:`shard_index`, crc32: python's
   ``hash`` is salted per process), each shard serialises its lanes behind
-  its own lock, so ingest threads make progress without a global lock;
+  its own lock, so concurrent callers of :meth:`FleetMonitor.ingest`
+  (one HTTP handler thread per connection) make progress without a
+  global lock, and each batch drains on the thread that delivered it;
 - **lazy construction with warm start** — a context's monitor is built on
   its first tick from the pipeline's attached
   :class:`~repro.store.base.ModelStore` (a populated
@@ -47,7 +49,6 @@ import logging
 import threading
 import zlib
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,12 +58,7 @@ import repro.obs as obs
 from repro.core.context import OperationContext
 from repro.core.online import AlarmEvent, DiagnosisEvent, OnlineMonitor
 from repro.core.pipeline import InvarNetX
-from repro.obs.blackbox import (
-    DEFAULT_CAPACITY,
-    FlightRecorder,
-    FlightSnapshot,
-    commit_bundle,
-)
+from repro.obs.blackbox import FlightRecorder, FlightSnapshot, commit_bundle
 from repro.store import ContextKey, LockedStore
 
 __all__ = [
@@ -106,8 +102,8 @@ class FleetEvent:
 
     Attributes:
         index: position of the triggering tick in the ingest batch
-            (events are returned sorted by it, so results are
-            deterministic however many threads processed the batch).
+            (events are returned sorted by it, so results do not
+            depend on the order the shard slices drained in).
         context: the context whose monitor fired.
         event: the alarm or diagnosis.
         flight: the lane's flight ring cut at the diagnosing tick (a
@@ -176,17 +172,15 @@ class FleetMonitor:
             for warm starts).  Its store is wrapped in a
             :class:`LockedStore` here; the pipeline object itself must
             not be shared with concurrent writers outside this fleet.
-        shards: number of registry shards (ingest parallelism bound).
+        shards: number of registry shards (bound on how many callers
+            drain lanes at once).
         max_lanes_per_shard: resident-monitor cap per shard; the least
             recently active lane is evicted beyond it.  None = unbounded.
-        workers: ingest thread count (None → one per shard; 0 → process
-            batches inline on the calling thread).
         max_incidents: diagnosis windows retained for :meth:`explain`.
         blackbox_dir: incidents directory; when set, every lane carries
             a flight ring (:attr:`OnlineMonitor.recorder`) and every
             diagnosis is committed there as an incident bundle.  None
             (default) disables the blackbox: no lane carries a recorder.
-        blackbox_capacity: flight-ring length per lane.
         **monitor_kwargs: forwarded to every :class:`OnlineMonitor`
             (``window_ticks``, ``warmup_ticks``, ``cooldown_ticks``).
     """
@@ -197,10 +191,8 @@ class FleetMonitor:
         *,
         shards: int = 8,
         max_lanes_per_shard: int | None = None,
-        workers: int | None = None,
         max_incidents: int = 256,
         blackbox_dir: str | Path | None = None,
-        blackbox_capacity: int = DEFAULT_CAPACITY,
         **monitor_kwargs: int,
     ) -> None:
         if shards < 1:
@@ -213,18 +205,9 @@ class FleetMonitor:
         self.blackbox_dir = (
             Path(blackbox_dir) if blackbox_dir is not None else None
         )
-        self.blackbox_capacity = blackbox_capacity
         self._shards = [
             _Shard(i, max_lanes_per_shard) for i in range(shards)
         ]
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=workers if workers else shards,
-                thread_name_prefix="fleet-ingest",
-            )
-            if workers != 0
-            else None
-        )
         self._incident_lock = threading.Lock()
         self._incidents: OrderedDict[ContextKey, RetainedIncident] = OrderedDict()  # repro: guarded-by=_incident_lock
         self._max_incidents = max_incidents
@@ -260,27 +243,17 @@ class FleetMonitor:
                     out[f"{key[0]}@{key[1]}"] = monitor.state.value
         return dict(sorted(out.items()))
 
-    def close(self) -> None:
-        """Shut the ingest pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "FleetMonitor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     def ingest(
         self, batch: list[Tick], request_id: str = ""
     ) -> IngestResult:
-        """Feed one batch of ticks, fanned out to shards.
+        """Feed one batch of ticks, drained shard by shard on the
+        calling thread.
 
         Per-context tick order inside the batch is preserved (a context
         lives on exactly one shard, and each shard processes its slice
-        in batch order).  Events come back sorted by batch position, so
-        the result is deterministic regardless of thread interleaving.
+        in batch order under its lock).  Events come back sorted by
+        batch position.
 
         Args:
             batch: the ticks to route.
@@ -295,19 +268,10 @@ class FleetMonitor:
             idx = shard_index(tick.context.key(), len(self._shards))
             groups.setdefault(idx, []).append((pos, tick))
         with obs.span("fleet.ingest"):
-            if self._pool is None or len(groups) <= 1:
-                slices = [
-                    self._drain(self._shards[idx], ticks, request_id)
-                    for idx, ticks in groups.items()
-                ]
-            else:
-                futures = [
-                    self._pool.submit(
-                        self._drain, self._shards[idx], ticks, request_id
-                    )
-                    for idx, ticks in groups.items()
-                ]
-                slices = [f.result() for f in futures]
+            slices = [
+                self._drain(self._shards[idx], ticks, request_id)
+                for idx, ticks in groups.items()
+            ]
         result = IngestResult()
         for accepted, rejected, events in slices:
             result.accepted += accepted
@@ -426,7 +390,6 @@ class FleetMonitor:
         if self.blackbox_dir is not None:
             monitor.recorder = FlightRecorder(
                 context,
-                capacity=self.blackbox_capacity,
                 model_revision=int(self.pipeline.store.revision(key)),
             )
         if (

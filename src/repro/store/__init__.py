@@ -4,8 +4,7 @@ slots behind a pluggable :class:`~repro.store.base.ModelStore`.
 The paper persists one XML tuple set per operation context (§3.2/§3.3);
 this package owns where those triples live and when they move:
 
-- :class:`MemoryStore` — resident dict, optional LRU bound spilling to a
-  backing store;
+- :class:`MemoryStore` — resident dict, nothing durable;
 - :class:`DirectoryStore` — versioned on-disk registry (per-context XML
   subdirectories, manifest index, atomic publishes, lazy loading).
 

@@ -10,8 +10,7 @@ published durably.
 Two backends implement the contract:
 
 - :class:`repro.store.memory.MemoryStore` — the resident dict the
-  pipeline always had, with an optional LRU bound that spills evicted
-  contexts to a backing store and reloads them on the next miss;
+  pipeline always had;
 - :class:`repro.store.directory.DirectoryStore` — a versioned on-disk
   registry of per-context subdirectories in the §3.2/§3.3 XML formats,
   published atomically and loaded lazily.
@@ -41,7 +40,7 @@ ContextKey = tuple[str, str]
 
 class StoreError(RuntimeError):
     """A model store could not honour its contract (corrupt registry,
-    unknown context, eviction with nowhere to spill)."""
+    unknown context)."""
 
 
 @dataclass
@@ -123,7 +122,7 @@ class ModelStore(abc.ABC):
 
     @abc.abstractmethod
     def adopt(self, key: ContextKey, models: ContextModels) -> None:
-        """Insert a fully-built slot (rehydration and eviction hand-off)."""
+        """Insert a fully-built slot (rehydration)."""
 
     @abc.abstractmethod
     def discard(self, key: ContextKey) -> None:

@@ -20,9 +20,8 @@ artifacts are written first, each one atomically, and the root manifest
 is rewritten last, carrying a per-context ``revision`` counter that
 bumps on every publish.  Loading is lazy: attaching a pipeline to a
 registry of thousands of contexts reads only the manifest; each context's
-XML is parsed the first time :meth:`DirectoryStore.slot` needs it, and an
-optional ``max_resident`` bound persists-and-drops the least-recently-used
-slot so the resident set stays small.
+XML is parsed the first time :meth:`DirectoryStore.slot` needs it and
+then stays resident.
 
 Directory names quote the workload and node with ``urllib.parse.quote``
 (``safe=""``), so any context key — including the ``*`` global-ablation
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import logging
 import shutil
-from collections import OrderedDict
 from collections.abc import Collection, Mapping
 from pathlib import Path
 from urllib.parse import quote, unquote
@@ -150,21 +148,11 @@ class DirectoryStore(ModelStore):
 
     Args:
         root: registry directory (created on first publish).
-        max_resident: bound on slots held in RAM; the least-recently-used
-            slot is persisted and dropped when exceeded.  None keeps every
-            loaded slot resident.
     """
 
-    def __init__(
-        self, root: str | Path, max_resident: int | None = None
-    ) -> None:
-        if max_resident is not None and max_resident < 1:
-            raise ValueError(
-                f"max_resident must be >= 1, got {max_resident}"
-            )
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.max_resident = max_resident
-        self._resident: OrderedDict[ContextKey, ContextModels] = OrderedDict()
+        self._resident: dict[ContextKey, ContextModels] = {}
         self._manifest = self._read_manifest()
         self._ledger: RunLedger | None = None
 
@@ -232,27 +220,9 @@ class DirectoryStore(ModelStore):
     def _context_dir(self, key: ContextKey) -> Path:
         return self.root / "contexts" / context_dirname(key)
 
-    def _insert(self, key: ContextKey, models: ContextModels) -> None:
-        self._resident[key] = models
-        self._resident.move_to_end(key)
-        while (
-            self.max_resident is not None
-            and len(self._resident) > self.max_resident
-        ):
-            victim = next(iter(self._resident))
-            self.persist(victim)
-            del self._resident[victim]
-
     def resident_keys(self) -> list[ContextKey]:
-        """Keys currently held in RAM (LRU order, oldest first)."""
+        """Keys currently held in RAM (loaded or adopted)."""
         return list(self._resident)
-
-    def evict(self, key: ContextKey) -> None:
-        """Persist the slot and drop its resident copy (explicit version
-        of what ``max_resident`` does automatically)."""
-        if key in self._resident:
-            self.persist(key)
-            del self._resident[key]
 
     # ------------------------------------------------------------------
     # loading
@@ -295,24 +265,22 @@ class DirectoryStore(ModelStore):
     ) -> ContextModels:
         models = self._resident.get(key)
         if models is not None:
-            self._resident.move_to_end(key)
             if models.context is None:
                 models.context = context
             return models
         models = self._load(key)
         if models is None:
             models = ContextModels(context=context)
-        self._insert(key, models)
+        self._resident[key] = models
         return models
 
     def peek(self, key: ContextKey) -> ContextModels | None:
         models = self._resident.get(key)
         if models is not None:
-            self._resident.move_to_end(key)
             return models
         models = self._load(key)
         if models is not None:
-            self._insert(key, models)
+            self._resident[key] = models
         return models
 
     def keys(self) -> list[ContextKey]:
@@ -374,7 +342,7 @@ class DirectoryStore(ModelStore):
         return written
 
     def adopt(self, key: ContextKey, models: ContextModels) -> None:
-        self._insert(key, models)
+        self._resident[key] = models
 
     def discard(self, key: ContextKey) -> None:
         self._resident.pop(key, None)

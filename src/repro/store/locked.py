@@ -1,20 +1,22 @@
 """A thread-safety decorator for model stores.
 
-Neither :class:`~repro.store.memory.MemoryStore` (plain ``OrderedDict``
-with LRU bookkeeping) nor :class:`~repro.store.directory.DirectoryStore`
-(lazy loads mutate the resident cache) is safe under concurrent access —
-they never needed to be, because the offline pipeline is single-threaded.
-A fleet service is not: shard workers construct monitors lazily, and each
-construction walks ``pipeline.context_models`` into the shared store.
+Neither :class:`~repro.store.memory.MemoryStore` (plain dict) nor
+:class:`~repro.store.directory.DirectoryStore` (lazy loads mutate the
+resident cache) is safe under concurrent access — they never needed to
+be, because the offline pipeline is single-threaded.  A fleet service is
+not: concurrent ingest callers construct monitors lazily on different
+shards, and each construction walks ``pipeline.context_models`` into the
+shared store.
 
 :class:`LockedStore` wraps any :class:`~repro.store.base.ModelStore` and
 serialises every contract method behind one reentrant lock.  It is a
 coarse decorator on purpose: store operations are rare (monitor
 construction, eviction, persistence) next to per-tick drift checks, so a
 single lock is simpler than per-slot locking and never the bottleneck.
-The lock is reentrant because a bounded ``MemoryStore`` may spill to its
-backing store from inside ``slot`` — if the backing store is the same
-locked instance the inner call must not deadlock.
+The lock is reentrant as a guard only: no current backend calls back
+into the wrapper, but a call chain that did would re-acquire the lock
+instead of deadlocking, and at store-call rates an ``RLock`` costs
+nothing measurable.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class LockedStore(ModelStore):
             return self.inner.revision(key)
 
     def __getattr__(self, name: str):
-        # backend-specific surface (ledger(), root, max_resident, ...)
+        # backend-specific surface (ledger(), root, resident_keys(), ...)
         # passes through unlocked: those are configuration reads, and the
         # objects they return carry their own synchronisation
         if name == "inner":  # unpickling reaches here before __init__

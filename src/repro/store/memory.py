@@ -1,125 +1,48 @@
-"""The resident model store, with an optional LRU bound.
+"""The resident model store.
 
-Unbounded, :class:`MemoryStore` is exactly the private dict
-:class:`~repro.core.pipeline.InvarNetX` used to carry.  Bounded, it keeps
-at most ``max_contexts`` slots resident: the least-recently-used slot is
-spilled to the backing store on eviction and transparently reloaded on
-the next miss, so a diagnosis service monitoring thousands of operation
-contexts holds only its working set in RAM.
+:class:`MemoryStore` is exactly the private dict
+:class:`~repro.core.pipeline.InvarNetX` used to carry: every slot stays
+in RAM for the life of the process and nothing is published durably.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from pathlib import Path
 
 from repro.core.context import OperationContext
-from repro.store.base import ContextKey, ContextModels, ModelStore, StoreError
+from repro.store.base import ContextKey, ContextModels, ModelStore
 
 __all__ = ["MemoryStore"]
 
 
 class MemoryStore(ModelStore):
-    """In-memory registry; optionally an LRU cache over a backing store.
+    """In-memory registry: a plain resident dict of slots."""
 
-    Args:
-        max_contexts: resident-slot bound; None keeps every slot forever
-            (the historical behaviour).
-        backing: durable store evicted slots spill to and misses load
-            from.  Required when ``max_contexts`` is set — a bounded
-            cache with nowhere to spill would silently drop trained
-            models.
-    """
+    def __init__(self) -> None:
+        self._slots: dict[ContextKey, ContextModels] = {}
 
-    def __init__(
-        self,
-        max_contexts: int | None = None,
-        backing: ModelStore | None = None,
-    ) -> None:
-        if max_contexts is not None and max_contexts < 1:
-            raise ValueError(
-                f"max_contexts must be >= 1, got {max_contexts}"
-            )
-        if max_contexts is not None and backing is None:
-            raise ValueError(
-                "a bounded MemoryStore needs a backing store to spill "
-                "evicted contexts to"
-            )
-        self.max_contexts = max_contexts
-        self.backing = backing
-        self._slots: OrderedDict[ContextKey, ContextModels] = OrderedDict()
-
-    # ------------------------------------------------------------------
-    def _touch(self, key: ContextKey) -> None:
-        self._slots.move_to_end(key)
-
-    def _insert(self, key: ContextKey, models: ContextModels) -> None:
-        self._slots[key] = models
-        self._slots.move_to_end(key)
-        while (
-            self.max_contexts is not None
-            and len(self._slots) > self.max_contexts
-        ):
-            victim_key, victim = next(iter(self._slots.items()))
-            if self.backing is None:  # unreachable: ctor enforces backing
-                raise StoreError("bounded MemoryStore lost its backing")
-            self.backing.adopt(victim_key, victim)
-            self.backing.persist(victim_key)
-            del self._slots[victim_key]
-
-    # ------------------------------------------------------------------
     def slot(
         self, key: ContextKey, context: OperationContext | None = None
     ) -> ContextModels:
         models = self._slots.get(key)
-        if models is None and self.backing is not None:
-            models = self.backing.peek(key)
-            if models is not None:
-                self._insert(key, models)
         if models is None:
             models = ContextModels(context=context)
-            self._insert(key, models)
-        else:
-            self._touch(key)
-            if models.context is None:
-                models.context = context
+            self._slots[key] = models
+        elif models.context is None:
+            models.context = context
         return models
 
     def peek(self, key: ContextKey) -> ContextModels | None:
-        models = self._slots.get(key)
-        if models is not None:
-            self._touch(key)
-            return models
-        if self.backing is not None:
-            models = self.backing.peek(key)
-            if models is not None:
-                self._insert(key, models)
-                return models
-        return None
+        return self._slots.get(key)
 
     def keys(self) -> list[ContextKey]:
-        known = set(self._slots)
-        if self.backing is not None:
-            known.update(self.backing.keys())
-        return sorted(known)
-
-    def resident_keys(self) -> list[ContextKey]:
-        """Keys currently held in RAM (LRU order, oldest first)."""
-        return list(self._slots)
+        return sorted(self._slots)
 
     def persist(self, key: ContextKey) -> list[Path]:
-        if self.backing is None:
-            return []
-        models = self._slots.get(key)
-        if models is None:
-            return []
-        self.backing.adopt(key, models)
-        return self.backing.persist(key)
+        return []
 
     def adopt(self, key: ContextKey, models: ContextModels) -> None:
-        self._insert(key, models)
+        self._slots[key] = models
 
     def discard(self, key: ContextKey) -> None:
         self._slots.pop(key, None)
-        if self.backing is not None:
-            self.backing.discard(key)

@@ -138,7 +138,6 @@ def committed(tmp_path):
     fleet = FleetMonitor(
         pipe,
         shards=2,
-        workers=0,
         window_ticks=8,
         warmup_ticks=12,
         cooldown_ticks=4,
@@ -148,7 +147,6 @@ def committed(tmp_path):
         fleet, contexts, {contexts[0].key(), contexts[1].key()}
     )
     yield fleet, pipe, contexts, incidents, events
-    fleet.close()
 
 
 def committed_dirs(incidents: Path) -> list[Path]:
@@ -203,17 +201,15 @@ class TestFlightRecorder:
         its lanes and allocates nothing in blackbox frames while it
         ingests (same contract as the tracer and profiler)."""
         context = OperationContext("wordcount", "node-0")
-        with FleetMonitor(
-            incident_pipeline([context]), shards=1, workers=0
-        ) as fleet:
-            tick = fault_ticks(context, 1)[0]
-            fleet.ingest([tick])  # warmup: builds the lane
-            tracemalloc.start()
-            for _ in range(2000):
-                fleet.ingest([tick])
-            snapshot = tracemalloc.take_snapshot()
-            tracemalloc.stop()
-            assert fleet.lane(context).recorder is None
+        fleet = FleetMonitor(incident_pipeline([context]), shards=1)
+        tick = fault_ticks(context, 1)[0]
+        fleet.ingest([tick])  # warmup: builds the lane
+        tracemalloc.start()
+        for _ in range(2000):
+            fleet.ingest([tick])
+        snapshot = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+        assert fleet.lane(context).recorder is None
         blackbox_bytes = sum(
             trace.size
             for trace in snapshot.traces
@@ -351,25 +347,24 @@ class TestEvidenceCut:
         lane_b = OperationContext("wordcount", "node-b", ip="10.0.0.2")
         incidents = tmp_path / "incidents"
         ticks = fault_ticks(lane_a, 20)  # lane A diagnoses at tick 19
-        with FleetMonitor(
+        fleet = FleetMonitor(
             incident_pipeline([lane_a, lane_b]),
             shards=1,
             max_lanes_per_shard=1,
-            workers=0,
             blackbox_dir=incidents,
             **self.KNOBS,
-        ) as fleet:
-            fleet.ingest(ticks[:19])
-            # lane B's tick evicts lane A right after it diagnosed
-            result = fleet.ingest([ticks[19], fault_ticks(lane_b, 1)[0]])
-            assert fleet.lane(lane_a) is None
-            diagnoses = [
-                e for e in result.events
-                if isinstance(e.event, DiagnosisEvent)
-            ]
-            assert len(diagnoses) == 1
-            assert fleet.bundles_committed == 1
-            retained = dict(fleet.retained_incidents())[lane_a.key()]
+        )
+        fleet.ingest(ticks[:19])
+        # lane B's tick evicts lane A right after it diagnosed
+        result = fleet.ingest([ticks[19], fault_ticks(lane_b, 1)[0]])
+        assert fleet.lane(lane_a) is None
+        diagnoses = [
+            e for e in result.events
+            if isinstance(e.event, DiagnosisEvent)
+        ]
+        assert len(diagnoses) == 1
+        assert fleet.bundles_committed == 1
+        retained = dict(fleet.retained_incidents())[lane_a.key()]
         assert retained.bundle_id is not None
         assert [r.bundle_id for r in scan_bundles(incidents)] == [
             retained.bundle_id
@@ -383,14 +378,13 @@ class TestEvidenceCut:
         trees = []
         for batch_size in (1, 256):
             incidents = tmp_path / f"batch-{batch_size}"
-            with FleetMonitor(
+            fleet = FleetMonitor(
                 incident_pipeline([context]),
                 shards=1,
-                workers=0,
                 blackbox_dir=incidents,
                 **self.KNOBS,
-            ) as fleet:
-                result = fleet.run_stream(stream, batch_size=batch_size)
+            )
+            result = fleet.run_stream(stream, batch_size=batch_size)
             diagnoses = [
                 e for e in result.events
                 if isinstance(e.event, DiagnosisEvent)

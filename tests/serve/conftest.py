@@ -97,7 +97,6 @@ def obs_served_fleet():
     fleet = FleetMonitor(
         build_pipeline(contexts),
         shards=2,
-        workers=0,
         window_ticks=8,
         warmup_ticks=12,
         cooldown_ticks=4,
@@ -111,4 +110,3 @@ def obs_served_fleet():
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
-    fleet.close()

@@ -1,4 +1,4 @@
-"""FleetMonitor behaviour: parity, sharding, eviction, threads, sink.
+"""FleetMonitor behaviour: parity, sharding, eviction, callers, sink.
 
 The ground truth for every parity test is N standalone
 :class:`OnlineMonitor` instances fed the identical per-context streams —
@@ -23,6 +23,7 @@ from repro.serve import FleetMonitor, Tick, shard_index
 from repro.stats.arima import ARIMAModel, ARIMAOrder, fit_arima
 from repro.store import DirectoryStore, LockedStore
 
+from tests.obs.test_blackbox import drive_fault, incident_pipeline
 from tests.serve.conftest import (
     CATALOG,
     adopt_context,
@@ -80,11 +81,8 @@ def _fleet_events(fleet, contexts, ticks, cpi_of):
 class TestFleetParity:
     def test_matches_standalone_monitors(self):
         contexts = _contexts(12)
-        fleet = FleetMonitor(
-            build_pipeline(contexts), shards=4, workers=0, **MONITOR_KW
-        )
-        with fleet:
-            got = _fleet_events(fleet, contexts, 45, _staggered_cpi)
+        fleet = FleetMonitor(build_pipeline(contexts), shards=4, **MONITOR_KW)
+        got = _fleet_events(fleet, contexts, 45, _staggered_cpi)
         want = _standalone_events(contexts, 45, _staggered_cpi)
         assert got == want
         # the staggered ramps really produced incidents to compare
@@ -108,63 +106,40 @@ class TestFleetParity:
         fleet = FleetMonitor(
             build_pipeline(contexts, detector),
             shards=2,
-            workers=0,
             **MONITOR_KW,
         )
-        with fleet:
-            got = _fleet_events(fleet, contexts, 40, cpi_of)
+        got = _fleet_events(fleet, contexts, 40, cpi_of)
         want = _standalone_events(contexts, 40, cpi_of, detector)
         assert got == want
         assert sum(len(v) for v in want.values()) > 0
-
-    def test_threaded_ingest_matches_inline(self):
-        contexts = _contexts(16)
-        inline = FleetMonitor(
-            build_pipeline(contexts), shards=8, workers=0, **MONITOR_KW
-        )
-        threaded = FleetMonitor(
-            build_pipeline(contexts), shards=8, workers=8, **MONITOR_KW
-        )
-        with inline, threaded:
-            got_inline = _fleet_events(inline, contexts, 45, _staggered_cpi)
-            got_threaded = _fleet_events(
-                threaded, contexts, 45, _staggered_cpi
-            )
-        assert got_threaded == got_inline
 
 
 class TestFleetRegistry:
     def test_lazy_construction(self):
         contexts = _contexts(6)
-        fleet = FleetMonitor(
-            build_pipeline(contexts), shards=2, workers=0, **MONITOR_KW
+        fleet = FleetMonitor(build_pipeline(contexts), shards=2, **MONITOR_KW)
+        assert fleet.contexts() == []
+        fleet.ingest([Tick(contexts[0], np.zeros(4), 1.0)])
+        assert fleet.contexts() == [contexts[0].key()]
+        fleet.ingest(
+            [Tick(c, np.zeros(4), 1.0) for c in contexts[1:3]]
         )
-        with fleet:
-            assert fleet.contexts() == []
-            fleet.ingest([Tick(contexts[0], np.zeros(4), 1.0)])
-            assert fleet.contexts() == [contexts[0].key()]
-            fleet.ingest(
-                [Tick(c, np.zeros(4), 1.0) for c in contexts[1:3]]
-            )
-            assert fleet.contexts() == sorted(
-                c.key() for c in contexts[:3]
-            )
+        assert fleet.contexts() == sorted(
+            c.key() for c in contexts[:3]
+        )
 
     def test_untrained_context_rejected_not_fatal(self):
         trained = _contexts(2)
         stranger = OperationContext("terasort", "node-x")
-        fleet = FleetMonitor(
-            build_pipeline(trained), shards=2, workers=0, **MONITOR_KW
-        )
-        with fleet:
-            batch = [Tick(c, np.zeros(4), 1.0) for c in trained]
-            batch.insert(1, Tick(stranger, np.zeros(4), 1.0))
-            with pytest.warns(RuntimeWarning, match="untrained context"):
-                result = fleet.ingest(batch)
-            assert result.accepted == 2
-            assert result.rejected == 1
-            assert fleet.rejected_total == 1
-            assert stranger.key() not in fleet.contexts()
+        fleet = FleetMonitor(build_pipeline(trained), shards=2, **MONITOR_KW)
+        batch = [Tick(c, np.zeros(4), 1.0) for c in trained]
+        batch.insert(1, Tick(stranger, np.zeros(4), 1.0))
+        with pytest.warns(RuntimeWarning, match="untrained context"):
+            result = fleet.ingest(batch)
+        assert result.accepted == 2
+        assert result.rejected == 1
+        assert fleet.rejected_total == 1
+        assert stranger.key() not in fleet.contexts()
 
     def test_shard_assignment_is_stable_and_total(self):
         keys = [c.key() for c in _contexts(64)]
@@ -179,47 +154,42 @@ class TestFleetRegistry:
         fleet = FleetMonitor(
             build_pipeline(contexts),
             shards=1,
-            workers=0,
             max_lanes_per_shard=2,
             **MONITOR_KW,
         )
-        with fleet:
-            for c in contexts[:2]:
-                fleet.ingest([Tick(c, np.zeros(4), 1.0)])
-            # touch 0 so 1 is the LRU lane, then force an eviction
-            fleet.ingest([Tick(contexts[0], np.zeros(4), 1.0)])
-            fleet.ingest([Tick(contexts[2], np.zeros(4), 1.0)])
-            resident = fleet.contexts()
-            assert len(resident) == 2
-            assert contexts[1].key() not in resident
-            # the evicted context is rebuilt from the store on return
-            result = fleet.ingest([Tick(contexts[1], np.zeros(4), 1.0)])
-            assert result.accepted == 1
-            lane = fleet.lane(contexts[1])
-            assert lane is not None and lane.cpi_len == 1  # fresh monitor
+        for c in contexts[:2]:
+            fleet.ingest([Tick(c, np.zeros(4), 1.0)])
+        # touch 0 so 1 is the LRU lane, then force an eviction
+        fleet.ingest([Tick(contexts[0], np.zeros(4), 1.0)])
+        fleet.ingest([Tick(contexts[2], np.zeros(4), 1.0)])
+        resident = fleet.contexts()
+        assert len(resident) == 2
+        assert contexts[1].key() not in resident
+        # the evicted context is rebuilt from the store on return
+        result = fleet.ingest([Tick(contexts[1], np.zeros(4), 1.0)])
+        assert result.accepted == 1
+        lane = fleet.lane(contexts[1])
+        assert lane is not None and lane.cpi_len == 1  # fresh monitor
 
     def test_store_is_wrapped_in_locked_store(self):
         pipe = build_pipeline(_contexts(1))
-        fleet = FleetMonitor(pipe, workers=0, **MONITOR_KW)
-        with fleet:
-            assert isinstance(pipe.store, LockedStore)
-            # idempotent: building a second fleet must not double-wrap
-            fleet2 = FleetMonitor(pipe, workers=0, **MONITOR_KW)
-            with fleet2:
-                assert pipe.store.inner is not None
-                assert not isinstance(pipe.store.inner, LockedStore)
+        fleet = FleetMonitor(pipe, **MONITOR_KW)
+        assert isinstance(pipe.store, LockedStore)
+        # idempotent: building a second fleet must not double-wrap
+        FleetMonitor(pipe, **MONITOR_KW)
+        assert pipe.store.inner is not None
+        assert not isinstance(pipe.store.inner, LockedStore)
 
 
 class TestFleetStress:
     N_THREADS = 8
 
     def _drive(self, seed_contexts, ticks=45):
-        """One complete staggered-fault run with 8 ingest threads; the
-        ingest calls themselves also come from multiple threads."""
+        """One complete staggered-fault run whose ingest calls come from
+        8 caller threads at once (as HTTP handler threads call it)."""
         fleet = FleetMonitor(
             build_pipeline(seed_contexts),
             shards=8,
-            workers=self.N_THREADS,
             **MONITOR_KW,
         )
         collected: dict = {c.key(): [] for c in seed_contexts}
@@ -252,7 +222,6 @@ class TestFleetStress:
             t.start()
         for t in threads:
             t.join()
-        fleet.close()
         return collected
 
     def test_no_lost_events_under_concurrency(self):
@@ -280,6 +249,38 @@ class TestFleetStress:
         assert "invarnetx_monitor_checks_total" in first
 
 
+class TestCallerThread:
+    """Ingest drains on the thread that called it: a diagnosis is traced
+    under the request that completed it, and no thread is started."""
+
+    def test_diagnosis_is_traced_under_its_ingest_span(self):
+        contexts = [
+            OperationContext("wordcount", f"node-{i}", ip=f"10.0.0.{i}")
+            for i in (0, 4)
+        ]
+        # every batch carries ticks for both shards
+        assert {shard_index(c.key(), 2) for c in contexts} == {0, 1}
+        fleet = FleetMonitor(
+            incident_pipeline(contexts), shards=2, **MONITOR_KW
+        )
+        obs.configure(enabled=True)
+        threads_before = threading.active_count()
+        events = drive_fault(fleet, contexts, {contexts[0].key()})
+        threads_after = threading.active_count()
+        assert any(isinstance(e.event, DiagnosisEvent) for e in events)
+
+        roots = obs.tracer().roots()
+        assert {root.name for root in roots} == {"fleet.ingest"}
+        infer_spans = [
+            span
+            for root in roots
+            for span in root.walk()
+            if span.name == "pipeline.infer"
+        ]
+        assert infer_spans
+        assert threads_after == threads_before
+
+
 class TestIncidentSink:
     def _incident_fleet(self, tmp_path=None):
         contexts = _contexts(2)
@@ -292,34 +293,31 @@ class TestIncidentSink:
             stub_infer(pipe)
         else:
             pipe = build_pipeline(contexts)
-        fleet = FleetMonitor(pipe, shards=2, workers=0, **MONITOR_KW)
+        fleet = FleetMonitor(pipe, shards=2, **MONITOR_KW)
         _fleet_events(fleet, contexts, 30, _staggered_cpi)
         return fleet, contexts
 
     def test_last_incident_retained_with_window(self):
         fleet, contexts = self._incident_fleet()
-        with fleet:
-            event = fleet.last_incident(contexts[0])
-            assert isinstance(event, DiagnosisEvent)
-            assert event.window is not None
-            assert event.window.shape == (8, 4)
+        event = fleet.last_incident(contexts[0])
+        assert isinstance(event, DiagnosisEvent)
+        assert event.window is not None
+        assert event.window.shape == (8, 4)
 
     def test_explain_unknown_context_raises(self):
         fleet, _ = self._incident_fleet()
-        with fleet:
-            with pytest.raises(KeyError):
-                fleet.explain(OperationContext("wordcount", "node-99"))
+        with pytest.raises(KeyError):
+            fleet.explain(OperationContext("wordcount", "node-99"))
 
     def test_ledger_records_fleet_diagnoses(self, tmp_path):
         fleet, contexts = self._incident_fleet(tmp_path)
-        with fleet:
-            assert fleet.pipeline.ledger is not None
-            entries = fleet.pipeline.ledger.entries(kind="fleet-diagnose")
-            assert len(entries) >= 2  # every context diagnosed at least once
-            recorded = {tuple(e["context"]) for e in entries}
-            assert recorded == {c.key() for c in contexts}
-            for entry in entries:
-                assert entry["alarm_tick"] < entry["tick"]
+        assert fleet.pipeline.ledger is not None
+        entries = fleet.pipeline.ledger.entries(kind="fleet-diagnose")
+        assert len(entries) >= 2  # every context diagnosed at least once
+        recorded = {tuple(e["context"]) for e in entries}
+        assert recorded == {c.key() for c in contexts}
+        for entry in entries:
+            assert entry["alarm_tick"] < entry["tick"]
 
     def test_warm_start_from_directory_store(self, tmp_path):
         """A fresh pipeline attached to the populated registry serves the
@@ -333,9 +331,8 @@ class TestIncidentSink:
         # new process simulation: attach a fresh pipeline to the registry
         cold = InvarNetX.attached_to(DirectoryStore(tmp_path / "registry"))
         stub_infer(cold)
-        fleet = FleetMonitor(cold, shards=2, workers=0, **MONITOR_KW)
-        with fleet:
-            got = _fleet_events(fleet, contexts, 30, _staggered_cpi)
+        fleet = FleetMonitor(cold, shards=2, **MONITOR_KW)
+        got = _fleet_events(fleet, contexts, 30, _staggered_cpi)
         assert all(len(v) >= 2 for v in got.values())
 
     def test_warm_start_diagnoses_with_the_stored_catalog(self, tmp_path):
@@ -351,18 +348,18 @@ class TestIncidentSink:
         cold = InvarNetX.attached_to(DirectoryStore(tmp_path / "registry"))
         assert len(cold.catalog) != len(CATALOG)
         diagnoses = []
-        with FleetMonitor(cold, shards=1, workers=0, **MONITOR_KW) as fleet:
-            for t in range(60):
-                # a step fault: +1/tick for 5 ticks, then flat
-                cpi = 1.0 + min(max(t - 14, 0), 5)
-                result = fleet.ingest(
-                    [Tick(context, np.full(4, float(t)), cpi)]
-                )
-                diagnoses += [
-                    fe.event for fe in result.events
-                    if isinstance(fe.event, DiagnosisEvent)
-                ]
-            report = fleet.explain(context)
+        fleet = FleetMonitor(cold, shards=1, **MONITOR_KW)
+        for t in range(60):
+            # a step fault: +1/tick for 5 ticks, then flat
+            cpi = 1.0 + min(max(t - 14, 0), 5)
+            result = fleet.ingest(
+                [Tick(context, np.full(4, float(t)), cpi)]
+            )
+            diagnoses += [
+                fe.event for fe in result.events
+                if isinstance(fe.event, DiagnosisEvent)
+            ]
+        report = fleet.explain(context)
         assert len(diagnoses) == 1
         assert diagnoses[0].window.shape == (8, 4)
         assert len(report.pairs) == 1  # the stored (m0, m1) invariant
@@ -391,24 +388,22 @@ class TestMalformedTicks:
         fleet = FleetMonitor(
             build_pipeline([context], _ma1_detector()),
             shards=1,
-            workers=0,
             **MONITOR_KW,
         )
         alarms, rejected = [], 0
-        with fleet:
-            for t in range(130):
-                if t == 50:
-                    cpi = float("nan")
-                elif t >= 100:
-                    cpi = 1.0 + (3.0 if t % 2 else -3.0)
-                else:
-                    cpi = 1.0
-                result = fleet.ingest([Tick(context, np.full(4, 1.0), cpi)])
-                rejected += result.rejected
-                alarms += [
-                    t for fe in result.events
-                    if isinstance(fe.event, AlarmEvent)
-                ]
+        for t in range(130):
+            if t == 50:
+                cpi = float("nan")
+            elif t >= 100:
+                cpi = 1.0 + (3.0 if t % 2 else -3.0)
+            else:
+                cpi = 1.0
+            result = fleet.ingest([Tick(context, np.full(4, 1.0), cpi)])
+            rejected += result.rejected
+            alarms += [
+                t for fe in result.events
+                if isinstance(fe.event, AlarmEvent)
+            ]
         assert alarms and 100 <= alarms[0] <= 103
         assert rejected == 1
 
@@ -426,27 +421,24 @@ class TestMalformedTicks:
         self, bad_metrics, bad_cpi
     ):
         contexts = _contexts(2)
-        fleet = FleetMonitor(
-            build_pipeline(contexts), shards=2, workers=0, **MONITOR_KW
-        )
+        fleet = FleetMonitor(build_pipeline(contexts), shards=2, **MONITOR_KW)
         diagnosed, rejected = set(), []
-        with fleet:
-            for t in range(40):
-                batch = [
-                    Tick(c, np.full(4, float(t)), _staggered_cpi(t, 0))
-                    for c in contexts
-                ]
-                if t == 14:  # inside the lead-in, before the alarm
-                    batch.insert(0, Tick(contexts[0], bad_metrics, bad_cpi))
-                result = fleet.ingest(batch)
-                rejected.append(result.rejected)
-                diagnosed.update(
-                    fe.context.key() for fe in result.events
-                    if isinstance(fe.event, DiagnosisEvent)
-                )
-            assert diagnosed == {c.key() for c in contexts}
-            assert rejected == [1 if t == 14 else 0 for t in range(40)]
-            assert fleet.rejected_total == 1
+        for t in range(40):
+            batch = [
+                Tick(c, np.full(4, float(t)), _staggered_cpi(t, 0))
+                for c in contexts
+            ]
+            if t == 14:  # inside the lead-in, before the alarm
+                batch.insert(0, Tick(contexts[0], bad_metrics, bad_cpi))
+            result = fleet.ingest(batch)
+            rejected.append(result.rejected)
+            diagnosed.update(
+                fe.context.key() for fe in result.events
+                if isinstance(fe.event, DiagnosisEvent)
+            )
+        assert diagnosed == {c.key() for c in contexts}
+        assert rejected == [1 if t == 14 else 0 for t in range(40)]
+        assert fleet.rejected_total == 1
 
     @pytest.mark.filterwarnings("ignore:fleet. dropping ticks")
     def test_rejections_are_counted_by_reason(self):
@@ -457,18 +449,15 @@ class TestMalformedTicks:
         obs.configure(enabled=True)
         trained = _contexts(2)
         stranger = OperationContext("terasort", "node-x")
-        fleet = FleetMonitor(
-            build_pipeline(trained), shards=2, workers=0, **MONITOR_KW
-        )
-        with fleet:
-            batch = [
-                Tick(trained[0], np.zeros(4), 1.0),
-                Tick(stranger, np.zeros(4), 1.0),
-                Tick(trained[0], np.zeros(3), 1.0),
-                Tick(trained[1], np.zeros(4), float("nan")),
-                Tick(trained[1], np.zeros(4), 1.0),
-            ]
-            result = fleet.ingest(batch)
+        fleet = FleetMonitor(build_pipeline(trained), shards=2, **MONITOR_KW)
+        batch = [
+            Tick(trained[0], np.zeros(4), 1.0),
+            Tick(stranger, np.zeros(4), 1.0),
+            Tick(trained[0], np.zeros(3), 1.0),
+            Tick(trained[1], np.zeros(4), float("nan")),
+            Tick(trained[1], np.zeros(4), 1.0),
+        ]
+        result = fleet.ingest(batch)
         assert (result.accepted, result.rejected) == (2, 3)
         families = parse_prometheus(
             obs.metrics_registry().render_prometheus()

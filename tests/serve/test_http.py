@@ -19,9 +19,7 @@ MONITOR_KW = dict(window_ticks=8, warmup_ticks=12, cooldown_ticks=4)
 @pytest.fixture()
 def served_fleet():
     contexts = [OperationContext("wordcount", f"node-{i}") for i in range(3)]
-    fleet = FleetMonitor(
-        build_pipeline(contexts), shards=2, workers=0, **MONITOR_KW
-    )
+    fleet = FleetMonitor(build_pipeline(contexts), shards=2, **MONITOR_KW)
     server = build_server(fleet)  # ephemeral port
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -30,7 +28,6 @@ def served_fleet():
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
-    fleet.close()
 
 
 def _get(url):

@@ -167,12 +167,10 @@ class TestScanBundles:
         fleet = FleetMonitor(
             incident_pipeline(contexts),
             shards=2,
-            workers=0,
             blackbox_dir=incidents,
             **MONITOR_KW,
         )
-        with fleet:
-            drive_fault(fleet, contexts, {contexts[0].key()}, ticks=22)
+        drive_fault(fleet, contexts, {contexts[0].key()}, ticks=22)
         committed = scan_bundles(incidents)
         assert committed
         # an aborted attempt: directory without the manifest commit point
@@ -188,12 +186,10 @@ class TestFleetCorrelation:
         fleet = FleetMonitor(
             incident_pipeline(contexts),
             shards=2,
-            workers=0,
             blackbox_dir=incidents,
             **MONITOR_KW,
         )
-        with fleet:
-            drive_fault(fleet, contexts, faulty)
+        drive_fault(fleet, contexts, faulty)
         return incidents
 
     def test_multi_context_fault_is_one_platform_incident(self, tmp_path):
@@ -236,13 +232,11 @@ class TestFleetCorrelation:
         fleet = FleetMonitor(
             incident_pipeline(contexts),
             shards=2,
-            workers=0,
             blackbox_dir=tmp_path / "incidents",
             **MONITOR_KW,
         )
-        with fleet:
-            drive_fault(fleet, contexts, {contexts[0].key()}, ticks=22)
-            records = records_from_fleet(fleet)
+        drive_fault(fleet, contexts, {contexts[0].key()}, ticks=22)
+        records = records_from_fleet(fleet)
         assert records
         assert all(r.bundle_id.startswith("inc-") for r in records)
         assert all(r.path is not None for r in records)
@@ -252,11 +246,10 @@ class TestFleetCorrelation:
             OperationContext("wordcount", f"node-{i}") for i in range(2)
         ]
         fleet = FleetMonitor(
-            incident_pipeline(contexts), shards=2, workers=0, **MONITOR_KW
+            incident_pipeline(contexts), shards=2, **MONITOR_KW
         )
-        with fleet:
-            drive_fault(fleet, contexts, {contexts[0].key()}, ticks=22)
-            records = records_from_fleet(fleet)
+        drive_fault(fleet, contexts, {contexts[0].key()}, ticks=22)
+        records = records_from_fleet(fleet)
         assert records
         assert all(r.bundle_id.startswith("mem-") for r in records)
         assert all(r.path is None for r in records)
@@ -273,7 +266,6 @@ class TestConcurrentAlarms:
         fleet = FleetMonitor(
             incident_pipeline(contexts),
             shards=4,
-            workers=0,
             max_incidents=4,
             blackbox_dir=incidents_dir,
             **MONITOR_KW,
@@ -319,24 +311,23 @@ class TestConcurrentAlarms:
     def test_no_lost_diagnoses_and_evicted_bundles_survive(self, tmp_path):
         incidents_dir = tmp_path / "incidents"
         fleet, contexts = self._concurrent_fleet(incidents_dir)
-        with fleet:
-            per_thread = self._drive_concurrently(fleet, contexts)
-            diagnoses = [
-                e
-                for events in per_thread
-                for e in events
-                if isinstance(e.event, DiagnosisEvent)
-            ]
-            # every lane alarms at ticks 16/26/36: 3 diagnoses apiece,
-            # none lost to concurrency
-            assert len(diagnoses) == self.THREADS * 3
-            assert fleet.bundles_committed == self.THREADS * 3
+        per_thread = self._drive_concurrently(fleet, contexts)
+        diagnoses = [
+            e
+            for events in per_thread
+            for e in events
+            if isinstance(e.event, DiagnosisEvent)
+        ]
+        # every lane alarms at ticks 16/26/36: 3 diagnoses apiece,
+        # none lost to concurrency
+        assert len(diagnoses) == self.THREADS * 3
+        assert fleet.bundles_committed == self.THREADS * 3
 
-            ring = fleet.retained_incidents()
-            # the ring is bounded and every resident entry already has
-            # its committed bundle id
-            assert len(ring) == 4
-            assert all(r.bundle_id for _, r in ring)
+        ring = fleet.retained_incidents()
+        # the ring is bounded and every resident entry already has
+        # its committed bundle id
+        assert len(ring) == 4
+        assert all(r.bundle_id for _, r in ring)
 
         # evicted incidents still have committed bundles: all 24 on disk
         records = scan_bundles(incidents_dir)
@@ -360,16 +351,14 @@ class TestConcurrentAlarms:
             fleet = FleetMonitor(
                 incident_pipeline(contexts),
                 shards=4,
-                workers=0,
                 max_incidents=4,
                 blackbox_dir=incidents_dir,
                 **MONITOR_KW,
             )
-            with fleet:
-                drive_fault(
-                    fleet, contexts, {c.key() for c in contexts}, ticks=22
-                )
-                return [key for key, _ in fleet.retained_incidents()]
+            drive_fault(
+                fleet, contexts, {c.key() for c in contexts}, ticks=22
+            )
+            return [key for key, _ in fleet.retained_incidents()]
 
         first = run(tmp_path / "a")
         second = run(tmp_path / "b")
@@ -389,7 +378,6 @@ class TestRequestIdEndToEnd:
         fleet = FleetMonitor(
             pipe,
             shards=2,
-            workers=0,
             blackbox_dir=tmp_path / "incidents",
             **MONITOR_KW,
         )
@@ -487,4 +475,3 @@ class TestRequestIdEndToEnd:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-            fleet.close()

@@ -20,7 +20,6 @@ from repro.store.directory import context_dirname, parse_dirname
 from repro.telemetry.metrics import MetricCatalog
 
 CTX = OperationContext("wordcount", "slave-1", "10.0.0.11")
-CTX2 = OperationContext("wordcount", "slave-2", "10.0.0.12")
 
 
 def make_models(context=CTX) -> ContextModels:
@@ -103,45 +102,6 @@ class TestMemoryStore:
         store.slot(CTX.key(), CTX)
         assert store.persist(CTX.key()) == []
 
-    def test_bound_requires_backing(self):
-        with pytest.raises(ValueError, match="backing"):
-            MemoryStore(max_contexts=2)
-
-    def test_bound_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="max_contexts"):
-            MemoryStore(max_contexts=0, backing=DirectoryStore(tmp_path))
-
-    def test_lru_eviction_spills_and_reloads(self, tmp_path):
-        backing = DirectoryStore(tmp_path)
-        store = MemoryStore(max_contexts=1, backing=backing)
-        original = make_models()
-        store.adopt(CTX.key(), original)
-        store.adopt(CTX2.key(), make_models(CTX2))
-        # CTX was evicted from the front: resident set is bounded, but the
-        # spilled slot is durable and reloads on the next miss.
-        assert store.resident_keys() == [CTX2.key()]
-        assert (tmp_path / "contexts" / context_dirname(CTX.key())).is_dir()
-        reloaded = store.slot(CTX.key())
-        assert_models_equal(reloaded, original)
-        assert store.resident_keys() == [CTX.key()]  # CTX2 evicted in turn
-
-    def test_keys_include_backing(self, tmp_path):
-        backing = DirectoryStore(tmp_path)
-        backing.adopt(CTX.key(), make_models())
-        backing.persist(CTX.key())
-        store = MemoryStore(backing=DirectoryStore(tmp_path))
-        assert store.keys() == [CTX.key()]
-        assert store.slot(CTX.key()).trained
-
-    def test_discard_reaches_backing(self, tmp_path):
-        backing = DirectoryStore(tmp_path)
-        store = MemoryStore(backing=backing)
-        store.adopt(CTX.key(), make_models())
-        store.persist(CTX.key())
-        store.discard(CTX.key())
-        assert store.keys() == []
-        assert backing.keys() == []
-
 
 class TestDirectoryStore:
     def test_empty_registry(self, tmp_path):
@@ -187,22 +147,6 @@ class TestDirectoryStore:
         assert second.resident_keys() == []
         assert_models_equal(second.slot(CTX.key()), original)
         assert second.resident_keys() == [CTX.key()]
-
-    def test_max_resident_bounds_memory(self, tmp_path):
-        store = DirectoryStore(tmp_path, max_resident=1)
-        store.adopt(CTX.key(), make_models())
-        store.adopt(CTX2.key(), make_models(CTX2))
-        assert store.resident_keys() == [CTX2.key()]
-        # the evicted slot was persisted, not lost
-        assert store.revision(CTX.key()) >= 1
-        assert store.slot(CTX.key()).trained
-
-    def test_evict_persists_and_drops(self, tmp_path):
-        store = DirectoryStore(tmp_path)
-        store.adopt(CTX.key(), make_models())
-        store.evict(CTX.key())
-        assert store.resident_keys() == []
-        assert store.revision(CTX.key()) == 1
 
     def test_partial_slot_round_trip(self, tmp_path):
         partial = make_models()
@@ -254,10 +198,6 @@ class TestDirectoryStore:
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(StoreError, match="unreadable"):
             DirectoryStore(tmp_path)
-
-    def test_max_resident_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="max_resident"):
-            DirectoryStore(tmp_path, max_resident=0)
 
 
 class TestContextDirnames:

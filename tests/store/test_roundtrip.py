@@ -14,7 +14,7 @@ import pytest
 from repro.core import InvarNetX, OperationContext
 from repro.core.online import DiagnosisEvent, OnlineMonitor
 from repro.faults.spec import FaultSpec, build_fault
-from repro.store import ContextModels, DirectoryStore, MemoryStore
+from repro.store import ContextModels, DirectoryStore
 
 
 @pytest.fixture()
@@ -97,19 +97,6 @@ class TestDirectoryStoreRoundTrip:
                 assert [
                     (c.problem, c.score) for c in b.inference.causes
                 ] == [(c.problem, c.score) for c in a.inference.causes]
-
-    def test_bounded_front_store_serves_identically(
-        self, registry, trained_pipeline, wordcount_context, faulty_run
-    ):
-        """An LRU MemoryStore over the registry changes nothing but RAM."""
-        front = MemoryStore(
-            max_contexts=1, backing=DirectoryStore(registry.root)
-        )
-        pipe = InvarNetX.attached_to(front)
-        assert_same_diagnosis(
-            trained_pipeline.diagnose_run(wordcount_context, faulty_run),
-            pipe.diagnose_run(wordcount_context, faulty_run),
-        )
 
 
 class TestFlatSaveLoadRoundTrip:

@@ -493,16 +493,14 @@ class TestIncidentsAndReplay:
         fleet = FleetMonitor(
             pipe,
             shards=2,
-            workers=0,
             window_ticks=8,
             warmup_ticks=12,
             cooldown_ticks=4,
             blackbox_dir=registry / "incidents",
         )
-        with fleet:
-            drive_fault(
-                fleet, contexts, {contexts[0].key(), contexts[1].key()}
-            )
+        drive_fault(
+            fleet, contexts, {contexts[0].key(), contexts[1].key()}
+        )
         obs.configure(enabled=False)
         obs.reset()
         return registry
@@ -599,9 +597,12 @@ class TestIncidentsAndReplay:
         assert "platform-incidents" in names
 
     def test_serve_parser_accepts_blackbox_flags(self):
-        args = build_parser().parse_args(
-            ["serve", "reg", "--no-blackbox", "--blackbox-capacity", "32"]
-        )
+        args = build_parser().parse_args(["serve", "reg", "--no-blackbox"])
         assert args.no_blackbox is True
-        assert args.blackbox_capacity == 32
         assert args.blackbox is None
+        # the per-lane ring length is fixed; the old flag is unknown
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "reg", "--blackbox-capacity", "32"]
+            )
+        assert exc.value.code == 2

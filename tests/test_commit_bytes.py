@@ -81,27 +81,23 @@ def build_bundles(root: Path) -> None:
     fleet = FleetMonitor(
         pipe,
         shards=2,
-        workers=0,
         window_ticks=8,
         warmup_ticks=12,
         cooldown_ticks=4,
         blackbox_dir=root,
     )
-    try:
-        for t in range(30):
-            batch = []
-            for context in contexts:
-                fault = context is contexts[0] and t >= 14
-                batch.append(
-                    Tick(
-                        context=context,
-                        metrics=np.array([1.0, 2.0, 3.0, 4.0]) + t * 0.01,
-                        cpi=1.0 + (t - 13) * 1.0 if fault else 1.0,
-                    )
+    for t in range(30):
+        batch = []
+        for context in contexts:
+            fault = context is contexts[0] and t >= 14
+            batch.append(
+                Tick(
+                    context=context,
+                    metrics=np.array([1.0, 2.0, 3.0, 4.0]) + t * 0.01,
+                    cpi=1.0 + (t - 13) * 1.0 if fault else 1.0,
                 )
-            fleet.ingest(batch, request_id=f"req-{t:03d}")
-    finally:
-        fleet.close()
+            )
+        fleet.ingest(batch, request_id=f"req-{t:03d}")
 
 
 def build_store(root: Path) -> None:
