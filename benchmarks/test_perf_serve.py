@@ -24,8 +24,17 @@ The full benchmark drives 512 contexts x 64 ticks (the PR acceptance
 shape, recorded to ``BENCH_serve.json``); the ``smoke`` test is a
 down-scaled CI version that checks parity and direction without pinning
 a ratio load-sensitive runners would flake on.
+
+The keep-alive smoke test times back-to-back ``POST /ingest`` round
+trips over one plain ``http.client`` connection against
+``build_server``.  A reply whose body left in a second socket write
+waited ~40 ms for the client's delayed ACK; the bound sits far below
+that floor and far above the < 1 ms a round trip costs without it.
 """
 
+import http.client
+import json
+import threading
 import time
 from collections import deque
 
@@ -40,7 +49,7 @@ from repro.core.anomaly import (
 from repro.core.inference import InferenceResult
 from repro.core.invariants import InvariantSet
 from repro.core.online import MonitorState, OnlineMonitor
-from repro.serve import FleetMonitor, Tick
+from repro.serve import FleetMonitor, Tick, build_server
 from repro.stats.arima import ARIMAModel, ARIMAOrder
 from repro.store import ContextModels
 from repro.telemetry.metrics import MetricCatalog
@@ -54,6 +63,11 @@ NAIVE_HISTORY = 600
 
 MONITOR_KW = dict(window_ticks=8, warmup_ticks=12, cooldown_ticks=4)
 CATALOG = MetricCatalog(names=("m0", "m1", "m2", "m3"))
+
+#: Back-to-back requests of the keep-alive smoke test, and its bound on
+#: their median round trip (the delayed-ACK floor is ~40 ms).
+KEEPALIVE_REQUESTS = 200
+KEEPALIVE_P50_MS = 20.0
 
 
 def _detector() -> AnomalyDetector:
@@ -213,4 +227,60 @@ class TestServeBenchmark:
         assert n_contexts >= 500
         assert speedup >= REQUIRED_SPEEDUP, (
             f"fleet fast lane only {speedup:.2f}x over the naive loop"
+        )
+
+    def test_smoke_http_keepalive_back_to_back(self, bench_record):
+        contexts = [
+            OperationContext("wordcount", f"node-{i}") for i in range(8)
+        ]
+        fleet = FleetMonitor(_pipeline(contexts), shards=2, **MONITOR_KW)
+        server = build_server(fleet)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        # A plain client: Nagle on, and a body small enough (< 2,000
+        # bytes) that http.client sends it with the headers in one segment.
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        round_trips = []
+        try:
+            for t in range(KEEPALIVE_REQUESTS):
+                c = contexts[t % len(contexts)]
+                body = json.dumps({"ticks": [{
+                    "workload": c.workload,
+                    "node": c.node_id,
+                    "metrics": [float(t)] * 4,
+                    "cpi": 1.0,
+                }]}).encode()
+                assert len(body) < 2000
+                start = time.perf_counter()
+                conn.request(
+                    "POST", "/ingest", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                reply = json.loads(resp.read())
+                round_trips.append(time.perf_counter() - start)
+                assert resp.status == 200 and reply["accepted"] == 1
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        p50_ms = float(np.median(round_trips)) * 1e3
+        per_s = KEEPALIVE_REQUESTS / sum(round_trips)
+        print(
+            f"\n[keepalive] {KEEPALIVE_REQUESTS} back-to-back requests  "
+            f"round trip p50 {p50_ms:.2f} ms  {per_s:,.0f} requests/s"
+        )
+        bench_record(
+            "serve",
+            "keepalive_back_to_back",
+            requests=KEEPALIVE_REQUESTS,
+            round_trip_ms_p50=round(p50_ms, 3),
+            requests_per_s=round(per_s, 1),
+        )
+        assert p50_ms < KEEPALIVE_P50_MS, (
+            f"keep-alive round trip p50 {p50_ms:.1f} ms: a reply left "
+            "in more than one write?"
         )

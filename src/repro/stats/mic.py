@@ -304,9 +304,10 @@ _CELL_BYTES = 8 + 8 + np.dtype(np.intp).itemsize + 1
 
 #: Byte budget of one chunk's scratch matrices.  A thread that has scored
 #: a window keeps its peak (this budget plus a boundary pass of about the
-#: same size) in its malloc arena, so a server diagnosing on eight ingest
-#: threads can pay it eight times.  At 30 samples a chunk still holds
-#: 5-20 items.
+#: same size) in its malloc arena.  A server diagnoses on the handler
+#: thread of the connection that completed the window, so it pays this
+#: once per live connection.  At 30 samples a chunk still holds 5-20
+#: items.
 _CHUNK_BYTES = 1 << 17
 
 #: Budget divisor of the clump-boundary pass: a pass takes

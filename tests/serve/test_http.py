@@ -1,6 +1,8 @@
 """End-to-end tests of the stdlib HTTP/JSON serving surface."""
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -17,17 +19,23 @@ MONITOR_KW = dict(window_ticks=8, warmup_ticks=12, cooldown_ticks=4)
 
 
 @pytest.fixture()
-def served_fleet():
+def served():
     contexts = [OperationContext("wordcount", f"node-{i}") for i in range(3)]
     fleet = FleetMonitor(build_pipeline(contexts), shards=2, **MONITOR_KW)
     server = build_server(fleet)  # ephemeral port
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    host, port = server.server_address[:2]
-    yield fleet, contexts, f"http://{host}:{port}"
+    yield fleet, contexts, server
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture()
+def served_fleet(served):
+    fleet, contexts, server = served
+    host, port = server.server_address[:2]
+    return fleet, contexts, f"http://{host}:{port}"
 
 
 def _get(url):
@@ -160,3 +168,120 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(f"{base}/explain/wordcount@node-0")  # no incident yet
         assert err.value.code == 404
+
+
+class _WriteLog:
+    """A handler's ``wfile`` that logs the request id of every write.
+
+    The id is logged *before* the bytes leave, so once a client has read
+    a whole reply every write of that reply is in the log.
+    """
+
+    def __init__(self, handler, raw, log):
+        self._handler = handler
+        self._raw = raw
+        self._log = log
+
+    def write(self, data):
+        self._log.append(getattr(self._handler, "request_id", None))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+@pytest.fixture()
+def write_logged_fleet(served):
+    """A served fleet whose handlers log each socket write by request id."""
+    _, contexts, server = served
+    log = []
+
+    class Logged(server.RequestHandlerClass):
+        def setup(self):
+            super().setup()
+            self.wfile = _WriteLog(self, self.wfile, log)
+
+    # read per connection, so swapping it before the first request is safe
+    server.RequestHandlerClass = Logged
+    host, port = server.server_address[:2]
+    return contexts, host, port, log
+
+
+#: The reply headers, in the order the server has always sent them.
+REPLY_HEADERS = [
+    "Server", "Date", "Content-Type", "Content-Length", "X-Request-Id",
+]
+
+
+def _request(conn, method, path, rid, body=None):
+    headers = {"X-Request-Id": rid}
+    if body is not None:
+        headers["Content-Type"] = "application/json"
+    conn.request(method, path, body=body, headers=headers)
+    resp = conn.getresponse()
+    return resp, resp.read()
+
+
+class TestOneWritePerReply:
+    """Each reply leaves in one socket write.  Headers and body written
+    separately make a keep-alive client's next request wait out its
+    delayed ACK (Nagle holds the body back until the headers are
+    acknowledged); the count is asserted, not the timing."""
+
+    def test_every_reply_kind_is_one_write(self, write_logged_fleet):
+        contexts, host, port, log = write_logged_fleet
+        base = f"http://{host}:{port}"
+        target = contexts[0]
+        assert _drive_incident(base, target, contexts)[-1]["type"] == (
+            "diagnosis"
+        )
+        tick = json.dumps({"ticks": [_tick_json(target, 1.0, 99)]})
+        cases = [
+            ("POST", "/ingest", tick, 200),
+            ("POST", "/ingest", "this is not json", 400),
+            ("POST", "/ingest", json.dumps({"not_ticks": []}), 400),
+            ("GET", "/nope", None, 404),
+            ("GET", f"/explain/{target}", None, 200),
+            ("GET", f"/explain/{target}?format=json", None, 200),
+            ("GET", "/metrics", None, 200),
+            ("GET", "/health", None, 200),
+        ]
+        writes = {}
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for i, (method, path, body, status) in enumerate(cases):
+                rid = f"write-{i}"
+                resp, _ = _request(conn, method, path, rid, body)
+                assert resp.status == status, (method, path)
+                writes[i, method, path] = log.count(rid)
+        finally:
+            conn.close()
+        assert writes == {key: 1 for key in writes}
+
+    def test_back_to_back_keepalive_replies(self, write_logged_fleet):
+        contexts, host, port, log = write_logged_fleet
+        tick = json.dumps({"ticks": [_tick_json(contexts[0], 1.0, 0)]})
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for i in range(3):
+                rid = f"keepalive-{i}"
+                resp, body = _request(conn, "POST", "/ingest", rid, tick)
+                assert resp.status == 200
+                assert [k for k, _ in resp.getheaders()] == REPLY_HEADERS
+                assert int(resp.getheader("Content-Length")) == len(body)
+                assert resp.getheader("X-Request-Id") == rid
+                assert not resp.will_close
+                assert conn.sock is not None  # the connection stayed open
+                assert log.count(rid) == 1
+        finally:
+            conn.close()
+
+    def test_http09_request_gets_the_bare_body(self, write_logged_fleet):
+        _, host, port, log = write_logged_fleet
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"GET /health\r\n\r\n")
+            data = b""
+            while chunk := sock.recv(4096):
+                data += chunk
+        assert json.loads(data)["status"] == "ok"  # no status line
+        assert len(log) == 1
