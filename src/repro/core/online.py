@@ -22,6 +22,15 @@ the process-wide content-hash cache (:mod:`repro.stats.micfast`): if the
 same window is ever re-scored — a replayed incident, or several monitors
 watching mirrored telemetry — the MIC sweep is not repeated.
 
+Each tick is validated once, by :meth:`OnlineMonitor.accepts`, inside
+:meth:`OnlineMonitor.observe`, which refuses a bad tick with
+:class:`MalformedTick` before anything is recorded.  The drift check
+(:meth:`OnlineMonitor.check`) is pure, so a caller may run it ahead of
+``observe`` and hand the verdict in; ``observe`` counts the verdict it
+consumes.  The per-tick counters are written through series bound once
+per monitor (:meth:`repro.obs.metrics.MetricsRegistry.bind_counter`), not
+looked up in the registry per tick.
+
 A monitor may carry its lane's flight ring
 (:attr:`OnlineMonitor.recorder`, a
 :class:`~repro.obs.blackbox.FlightRecorder`): the monitor notes its own
@@ -49,7 +58,13 @@ from repro.stats.arima import OneStepPredictor
 if TYPE_CHECKING:  # pragma: no cover - repro.obs.blackbox imports this module
     from repro.obs.blackbox import FlightRecorder
 
-__all__ = ["MonitorState", "AlarmEvent", "DiagnosisEvent", "OnlineMonitor"]
+__all__ = [
+    "MonitorState",
+    "AlarmEvent",
+    "DiagnosisEvent",
+    "MalformedTick",
+    "OnlineMonitor",
+]
 
 _log = obs.get_logger("core.online")
 
@@ -102,6 +117,11 @@ class DiagnosisEvent:
             "cause": self.root_cause,
             "matched": self.inference.matched,
         }
+
+
+class MalformedTick(ValueError):
+    """A tick :meth:`OnlineMonitor.observe` refuses (see
+    :meth:`OnlineMonitor.accepts`); the fleet counts it as malformed."""
 
 
 class OnlineMonitor:
@@ -173,6 +193,21 @@ class OnlineMonitor:
         self._cooldown_left = 0
         self.state = MonitorState.WARMUP
         self._label = str(context)
+        self._shape = (len(models.invariants.catalog),)
+        # the per-tick counters, bound once and created on first write
+        registry = obs.metrics_registry()
+        self._state_ticks = registry.bind_counter(
+            "invarnetx_monitor_state_ticks_total",
+            "Ticks the monitor spent in each state",
+            ("context", "state"),
+            context=self._label,
+        )
+        self._checks = registry.bind_counter(
+            "invarnetx_monitor_checks_total",
+            "One-step ARIMA drift checks actually run",
+            ("context",),
+            context=self._label,
+        )
         #: The lane's flight ring, or None (no blackbox).  The monitor
         #: notes its own state changes into it; whoever feeds the lane
         #: (the fleet's drain loop) records the ticks.
@@ -187,7 +222,7 @@ class OnlineMonitor:
     @property
     def width(self) -> int:
         """Metric-row width of the lane (its invariants' catalog)."""
-        return len(self._models.invariants.catalog)
+        return self._shape[0]
 
     @property
     def tick(self) -> int:
@@ -203,13 +238,15 @@ class OnlineMonitor:
     def accepts(self, metrics_row: np.ndarray, cpi: float) -> bool:
         """Whether a tick is usable: a finite CPI and a finite metric row
         of the lane's catalog width.  Anything else would poison the ARIMA
-        history or the MIC window; :meth:`observe` refuses it and the
-        fleet counts it as malformed."""
+        history or the MIC window.  This is the one tick rule:
+        :meth:`observe` applies it once per tick and raises
+        :class:`MalformedTick` when it fails."""
         row = np.asarray(metrics_row, dtype=float)
         return (
-            row.shape == (self.width,)
+            row.shape == self._shape
             and math.isfinite(cpi)
-            and bool(np.isfinite(row).all())
+            # count_nonzero is one C call; ndarray.all() is ~2x slower
+            and bool(np.count_nonzero(np.isfinite(row)) == row.size)
         )
 
     # ------------------------------------------------------------------
@@ -244,6 +281,11 @@ class OnlineMonitor:
         """The §3.2 drift verdict for ``cpi`` against the one-step
         prediction from the detector history before it.
 
+        Pure: it reads the predictor and changes nothing, so a caller may
+        run it ahead of :meth:`observe` (even on a tick ``observe`` will
+        refuse) and hand the verdict in.  ``observe`` counts the verdicts
+        it consumes in ``invarnetx_monitor_checks_total``.
+
         Returns:
             None outside MONITORING (MONITORING starts only after the
             warm-up, so this is also the warm-up gate); False while the
@@ -252,12 +294,6 @@ class OnlineMonitor:
         """
         if self.state is not MonitorState.MONITORING:
             return None
-        if obs.enabled():
-            obs.metrics_registry().counter(
-                "invarnetx_monitor_checks_total",
-                "One-step ARIMA drift checks actually run",
-                ("context",),
-            ).inc(context=self._label)
         if self._predictor is None:
             return False  # history still too short for the order
         residual = abs(float(cpi) - self._predictor.prediction)
@@ -299,26 +335,26 @@ class OnlineMonitor:
             collected and inferred, or None.
 
         Raises:
-            ValueError: the tick fails :meth:`accepts`.  It is refused
-                before anything is recorded: one such CPI would break
-                every later drift check, one such row the abnormal window.
+            MalformedTick: the tick fails :meth:`accepts`.  It is refused
+                before anything is recorded or counted: one such CPI
+                would break every later drift check, one such row the
+                abnormal window.
         """
         row = np.asarray(metrics_row, dtype=float)
         if not self.accepts(row, cpi):
-            raise ValueError(
+            raise MalformedTick(
                 f"refusing tick: need a finite CPI and a finite "
                 f"({self.width},) metric row, got CPI {cpi!r} and a row "
                 f"of shape {row.shape}"
             )
         self._tick += 1
+        state = self.state
         if obs.enabled():
-            obs.metrics_registry().counter(
-                "invarnetx_monitor_state_ticks_total",
-                "Ticks the monitor spent in each state",
-                ("context", "state"),
-            ).inc(context=self._label, state=self.state.value)
+            self._state_ticks.series(state.value).inc()
+            if state is MonitorState.MONITORING:
+                self._checks.series().inc()  # the verdict consumed below
 
-        if self.state is MonitorState.COLLECTING:
+        if state is MonitorState.COLLECTING:
             self._collected.append(row)
             # keep the lead-in ring current so a prompt second alarm
             # seeds its window with these rows, not pre-incident ones
@@ -367,11 +403,11 @@ class OnlineMonitor:
         self._extend_history(float(cpi))
         self._recent_metrics.append(row)
 
-        if self.state is MonitorState.WARMUP:
+        if state is MonitorState.WARMUP:
             if self._cpi_len >= self.warmup_ticks:
                 self._transition(MonitorState.MONITORING)
             return None
-        if self.state is MonitorState.COOLDOWN:
+        if state is MonitorState.COOLDOWN:
             self._cooldown_left -= 1
             if self._cooldown_left <= 0:
                 self._incident_cpi.clear()

@@ -34,6 +34,12 @@ A disabled registry (the default) makes every write a no-op after a
 single attribute check, and the pre-bound series handles returned by
 ``family.series(...)`` write with *zero allocations* on the disabled
 path — the same contract the tracer's no-op span keeps.
+
+A hot path that writes one owner's series every call (a monitor lane's
+per-tick counters) holds a :class:`CounterBinding` from
+:meth:`MetricsRegistry.bind_counter` instead of re-requesting the family:
+it creates each series on first write and binds again after
+:meth:`MetricsRegistry.reset`.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from typing import Any, Iterable
 
 __all__ = [
     "Counter",
+    "CounterBinding",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -370,6 +377,61 @@ class Histogram(_Family):
         return lines
 
 
+class CounterBinding:
+    """One owner's series of one counter family, bound on first write.
+
+    ``series(*values)`` takes the values of the labels not fixed at bind
+    time, in family order, and returns the cached series handle.  The
+    family and each series are created on first use, so nothing is
+    exported before the first write.  A :meth:`MetricsRegistry.reset`
+    drops every family and bumps the registry's generation; the next
+    call notices the new generation (one int compare) and binds again.
+    A write racing the reset itself may land in the dropped family, as a
+    get-or-create lookup racing it would.
+
+    Not thread-safe on its own: the owner serialises its calls (a fleet
+    lane under its shard lock, a standalone monitor on its one thread).
+    """
+
+    __slots__ = (
+        "_registry", "_name", "_help", "_labelnames", "_fixed", "_free",
+        "_generation", "_handles",
+    )
+
+    def __init__(
+        self,
+        registry: "MetricsRegistry",
+        name: str,
+        help: str,
+        labelnames: tuple[str, ...],
+        fixed: dict[str, str],
+    ) -> None:
+        self._registry = registry
+        self._name = name
+        self._help = help
+        self._labelnames = labelnames
+        self._fixed = fixed
+        self._free = tuple(n for n in labelnames if n not in fixed)
+        self._generation = -1
+        self._handles: dict[_LabelKey, _CounterSeries] = {}
+
+    def series(self, *values: str) -> _CounterSeries:
+        """The series for the free label ``values`` (created if new)."""
+        generation = self._registry.generation
+        if generation != self._generation:
+            self._handles = {}
+            self._generation = generation
+        handle = self._handles.get(values)
+        if handle is None:
+            family = self._registry.counter(
+                self._name, self._help, self._labelnames
+            )
+            labels = dict(zip(self._free, values), **self._fixed)
+            handle = family.series(**labels)
+            self._handles[values] = handle
+        return handle
+
+
 class MetricsRegistry:
     """Named metric families with get-or-create semantics.
 
@@ -386,6 +448,8 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._families: dict[str, _Family] = {}  # repro: guarded-by=_lock
+        #: Bumped by every :meth:`reset`; bindings compare it per write.
+        self.generation = 0  # repro: guarded-by=_lock
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -434,6 +498,17 @@ class MetricsRegistry:
             Histogram, name, help, tuple(labelnames), buckets=buckets
         )
 
+    def bind_counter(
+        self,
+        name: str,
+        help: str = "",
+        labelnames: tuple[str, ...] = (),
+        **fixed: str,
+    ) -> CounterBinding:
+        """A :class:`CounterBinding` of the counter ``name`` with the
+        ``fixed`` label values; creates nothing until its first write."""
+        return CounterBinding(self, name, help, tuple(labelnames), fixed)
+
     # ------------------------------------------------------------------
     def families(self) -> list[_Family]:
         """Registered families, sorted by name."""
@@ -459,6 +534,8 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
-        """Drop every family (tests; a fresh process worth of metrics)."""
+        """Drop every family (tests; a fresh process worth of metrics).
+        Bindings notice the new :attr:`generation` and bind again."""
         with self._lock:
             self._families.clear()
+            self.generation += 1

@@ -17,9 +17,12 @@ contexts (§3.2's deployment unit).  :class:`FleetMonitor` owns them all:
 - **LRU eviction** — each shard caps its resident lanes and evicts the
   least-recently-active monitor (models stay in the store, so an evicted
   context warm-starts again on its next tick);
-- **one drift check** — each tick's verdict comes from the lane's own
-  :meth:`~repro.core.online.OnlineMonitor.check` (O(p + d + q), every
-  ARIMA order) and goes to ``observe`` and the lane's flight ring;
+- **one drift check, one validation** — each tick's verdict comes from
+  the lane's own :meth:`~repro.core.online.OnlineMonitor.check`
+  (O(p + d + q), every ARIMA order, pure) and goes to ``observe`` and the
+  lane's flight ring; ``observe`` validates the tick, and the drain loop
+  counts the :class:`~repro.core.online.MalformedTick` it raises as
+  malformed;
 - an **incident sink** — every alarm/diagnosis is counted, logged,
   ledger-recorded (when the pipeline has an active run ledger) and the
   diagnosis windows are retained in a bounded ring so
@@ -56,7 +59,12 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.context import OperationContext
-from repro.core.online import AlarmEvent, DiagnosisEvent, OnlineMonitor
+from repro.core.online import (
+    AlarmEvent,
+    DiagnosisEvent,
+    MalformedTick,
+    OnlineMonitor,
+)
 from repro.core.pipeline import InvarNetX
 from repro.obs.blackbox import FlightRecorder, FlightSnapshot, commit_bundle
 from repro.store import ContextKey, LockedStore
@@ -126,7 +134,8 @@ class IngestResult:
     Attributes:
         events: events emitted by the batch, in batch order.
         accepted: ticks routed to a (possibly new) monitor.
-        rejected: ticks dropped as malformed (see
+        rejected: ticks dropped as malformed (refused by
+            :meth:`OnlineMonitor.observe`, see
             :meth:`OnlineMonitor.accepts`) or because their context has
             no trained models in the store.
     """
@@ -154,7 +163,7 @@ class RetainedIncident:
 
 
 class _Shard:
-    """One lock + its LRU-ordered monitor lanes."""
+    """One lock + its LRU-ordered monitor lanes + its bound counters."""
 
     def __init__(self, index: int, max_lanes: int | None) -> None:
         self.index = index
@@ -162,6 +171,27 @@ class _Shard:
         self._lock = threading.RLock()
         self._lanes: OrderedDict[ContextKey, OnlineMonitor] = OrderedDict()  # repro: guarded-by=_lock
         self.evictions = 0  # repro: guarded-by=_lock
+        registry = obs.metrics_registry()
+        shard = str(index)
+        self.ticks = registry.bind_counter(
+            "invarnetx_fleet_ticks_total",
+            "Ticks ingested per registry shard",
+            ("shard",),
+            shard=shard,
+        )
+        self.rejected = registry.bind_counter(
+            "invarnetx_fleet_rejected_total",
+            "Ticks dropped: untrained (no trained models) or "
+            "malformed (non-finite or wrong-width)",
+            ("shard", "reason"),
+            shard=shard,
+        )
+        self.evicted = registry.bind_counter(
+            "invarnetx_fleet_evictions_total",
+            "Idle monitor lanes evicted (LRU)",
+            ("shard",),
+            shard=shard,
+        )
 
 
 class FleetMonitor:
@@ -308,7 +338,13 @@ class FleetMonitor:
         ticks: list[tuple[int, Tick]],
         request_id: str = "",
     ) -> tuple[int, int, list[FleetEvent]]:
-        """Process one shard's slice of the batch, in batch order."""
+        """Process one shard's slice of the batch, in batch order.
+
+        Each tick is validated once, by ``observe``: the pure check runs
+        first (its verdict goes into ``observe`` and the flight ring),
+        and a tick ``observe`` refuses with :class:`MalformedTick` is
+        counted as malformed, having changed nothing.
+        """
         accepted = 0
         rejected = {"untrained": 0, "malformed": 0}
         events: list[FleetEvent] = []
@@ -318,23 +354,25 @@ class FleetMonitor:
                 if monitor is None:
                     rejected["untrained"] += 1
                     continue
-                if not monitor.accepts(tick.metrics, tick.cpi):
-                    rejected["malformed"] += 1
-                    continue
-                accepted += 1
+                cpi = float(tick.cpi)
                 # the state *entering* the tick: replay needs it to tell
                 # quarantined (collecting) CPI from detector history
                 state = monitor.state.value
-                verdict = fast_check(monitor, float(tick.cpi))
-                event = monitor.observe(
-                    tick.metrics, float(tick.cpi), anomalous=verdict
-                )
+                verdict = fast_check(monitor, cpi)
+                try:
+                    event = monitor.observe(
+                        tick.metrics, cpi, anomalous=verdict
+                    )
+                except MalformedTick:
+                    rejected["malformed"] += 1
+                    continue
+                accepted += 1
                 recorder = monitor.recorder
                 if recorder is not None:
                     recorder.record(
                         monitor.tick,
                         tick.metrics,
-                        float(tick.cpi),
+                        cpi,
                         verdict,
                         state,
                         request_id,
@@ -348,22 +386,13 @@ class FleetMonitor:
                     # neither change nor lose it
                     flight = recorder.snapshot()
                 events.append(FleetEvent(pos, tick.context, event, flight))
-        dropped = sum(rejected.values())
-        if obs.enabled() and (accepted or dropped):
-            registry = obs.metrics_registry()
-            registry.counter(
-                "invarnetx_fleet_ticks_total",
-                "Ticks ingested per registry shard",
-                ("shard",),
-            ).inc(accepted, shard=str(shard.index))
-            for reason, count in rejected.items():
-                if count:
-                    registry.counter(
-                        "invarnetx_fleet_rejected_total",
-                        "Ticks dropped: untrained (no trained models) or "
-                        "malformed (non-finite or wrong-width)",
-                        ("shard", "reason"),
-                    ).inc(count, shard=str(shard.index), reason=reason)
+            # still under the lock: a binding serialises on its owner
+            dropped = sum(rejected.values())
+            if obs.enabled() and (accepted or dropped):
+                shard.ticks.series().inc(accepted)
+                for reason, count in rejected.items():
+                    if count:
+                        shard.rejected.series(reason).inc(count)
         return accepted, dropped, events
 
     def _lane_for(
@@ -399,11 +428,7 @@ class FleetMonitor:
             evicted_key, _ = shard._lanes.popitem(last=False)
             shard.evictions += 1
             if obs.enabled():
-                obs.metrics_registry().counter(
-                    "invarnetx_fleet_evictions_total",
-                    "Idle monitor lanes evicted (LRU)",
-                    ("shard",),
-                ).inc(shard=str(shard.index))
+                shard.evicted.series().inc()
                 obs.log_event(
                     _log,
                     logging.DEBUG,

@@ -206,7 +206,11 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
         pass  # request logging goes through repro.obs, not stderr
 
     def _reply(
-        self, status: int, payload: bytes, content_type: str
+        self,
+        status: int,
+        payload: bytes,
+        content_type: str,
+        close: bool = False,
     ) -> None:
         """Send the whole response — status line, headers, body — in one
         socket write.
@@ -216,7 +220,9 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
         that ACK (~40 ms on Linux), so a request that follows a reply at
         once would pay the delay.  The headers and their order are those
         ``send_response`` + ``send_header`` would emit; an HTTP/0.9
-        request gets the bare body, as the stdlib gives it.
+        request gets the bare body, as the stdlib gives it.  ``close``
+        ends the connection after this reply and says so in a
+        ``Connection: close`` header.
         """
         self._status = status
         head = b""
@@ -232,15 +238,23 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
             rid = getattr(self, "request_id", "")
             if rid:
                 lines.append(f"X-Request-Id: {rid}")
+            if close:
+                lines.append("Connection: close")
             head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        if close:
+            self.close_connection = True
         self.wfile.write(head + payload)
 
-    def _reply_json(self, status: int, obj: object) -> None:
+    def _reply_json(
+        self, status: int, obj: object, close: bool = False
+    ) -> None:
         body = json.dumps(obj, sort_keys=True).encode("utf-8")
-        self._reply(status, body, "application/json")
+        self._reply(status, body, "application/json", close)
 
-    def _reply_error(self, status: int, message: str) -> None:
-        self._reply_json(status, {"error": message})
+    def _reply_error(
+        self, status: int, message: str, close: bool = False
+    ) -> None:
+        self._reply_json(status, {"error": message}, close)
 
     # -- instrumented dispatch -----------------------------------------
     def _dispatch(self, method: str, route) -> None:
@@ -406,18 +420,25 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
 
     # -- POST ----------------------------------------------------------
     def _route_post(self) -> None:
-        if urlparse(self.path).path != "/ingest":
-            self._reply_error(404, f"unknown path {self.path}")
-            return
+        """Every POST reply keeps the connection in step: the body is
+        read even when the request is refused, and a body whose length
+        is unknown ends the connection (otherwise its bytes would be
+        parsed as the next request)."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
         if length < 0 or length > MAX_BODY:
-            self._reply_error(400, "invalid or oversized Content-Length")
+            self._reply_error(
+                400, "invalid or oversized Content-Length", close=True
+            )
+            return
+        body = self.rfile.read(length)
+        if urlparse(self.path).path != "/ingest":
+            self._reply_error(404, f"unknown path {self.path}")
             return
         try:
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(body or b"{}")
         except (json.JSONDecodeError, UnicodeDecodeError):
             self._reply_error(400, "body is not valid JSON")
             return

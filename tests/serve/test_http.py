@@ -285,3 +285,44 @@ class TestOneWritePerReply:
                 data += chunk
         assert json.loads(data)["status"] == "ok"  # no status line
         assert len(log) == 1
+
+
+class TestRefusedPostKeepsConnectionInStep:
+    """A refused POST must not leave its body on a keep-alive connection:
+    the server would parse the body as the next request line."""
+
+    def test_unknown_path_body_is_consumed(self, served_fleet):
+        _, _, base = served_fleet
+        host, port = base[len("http://"):].rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            resp, _ = _request(conn, "POST", "/nope", "refused-0", "{}")
+            assert resp.status == 404
+            assert not resp.will_close
+            resp, body = _request(conn, "GET", "/health", "refused-1")
+            assert resp.status == 200
+            assert json.loads(body)["status"] == "ok"
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["nope", "-1", str(2**40)])
+    def test_unreadable_length_closes_the_connection(
+        self, served_fleet, length
+    ):
+        _, _, base = served_fleet
+        host, port = base[len("http://"):].rsplit(":", 1)
+        smuggled = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /ingest HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode()
+                + smuggled
+            )
+            data = b""
+            while chunk := sock.recv(4096):
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["error"].startswith("invalid or oversized")
+        assert b"HTTP/1.1 200" not in data  # the body was never a request
