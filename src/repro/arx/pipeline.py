@@ -159,12 +159,10 @@ class ARXInvarNet:
             return DiagnosisResult(context=context, anomaly=report)
         window = cut_abnormal_window(node, report, ABNORMAL_WINDOW_TICKS)
         assert window is not None
-        violations = slot.network.violations(window)
-        names = slot.network.pair_names()
         inference = rank_causes(
             slot.database,
-            violations,
-            [names[k] for k in np.flatnonzero(violations)],
+            slot.network.violations(window),
+            slot.network.pair_names(),
             measure=self.config.similarity,
             min_similarity=self.config.min_similarity,
             top_k=top_k,

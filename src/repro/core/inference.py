@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.invariants import EPSILON, AssociationMatrix, InvariantSet
-from repro.core.signatures import SignatureDatabase
+from repro.core.signatures import (
+    Signature,
+    SignatureDatabase,
+    jaccard_similarity,
+    matching_similarity,
+)
 
 __all__ = [
     "RankedCause",
@@ -30,28 +35,71 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RankedCause:
-    """One entry of the ranked root-cause list."""
+    """One entry of the ranked root-cause list: the problem, its score
+    under the configured measure, and the breakdown of the query tuple
+    against the problem's *best* stored signature (the one
+    :meth:`SignatureDatabase.best_per_problem` scored it by) — matching
+    and Jaccard similarity, positions that agree, that both violate
+    (shared), that only the query or only the signature violates, the
+    tuple length, and the workload and ip recorded on the signature."""
 
     problem: str
     score: float
+    matching: float
+    jaccard: float
+    agreeing: int
+    shared_violations: int
+    query_only: int
+    signature_only: int
+    tuple_length: int
+    signature_workload: str
+    signature_ip: str
+
+    @classmethod
+    def against(
+        cls, query: np.ndarray, problem: str, score: float, shared: int,
+        signature: Signature,
+    ) -> "RankedCause":
+        """The cause ``problem`` scored ``score`` by ``signature``."""
+        arr = signature.as_array()
+        return cls(
+            problem=problem,
+            score=score,
+            matching=matching_similarity(query, arr),
+            jaccard=jaccard_similarity(query, arr),
+            agreeing=int(np.sum(query == arr)),
+            shared_violations=shared,
+            query_only=int(np.sum(query & ~arr)),
+            signature_only=int(np.sum(~query & arr)),
+            tuple_length=int(arr.size),
+            signature_workload=signature.workload,
+            signature_ip=signature.ip,
+        )
 
 
 @dataclass
 class InferenceResult:
-    """Everything cause inference produced for one abnormal window.
+    """Everything cause inference produced for one abnormal window — the
+    one record every view of a diagnosis (the explain report, the
+    incident bundle, the ledger entry) is projected from.
 
     Attributes:
-        causes: ranked root causes, most probable first (empty when the
-            database is empty).
+        causes: ranked root causes, most probable first, each with its
+            similarity breakdown (empty when the database is empty).
         violations: the binary violation tuple that was matched.
         hints: violated pair names; the operator-facing fallback output.
         matched: True when the top cause cleared the similarity floor.
+        observed: the abnormal window's association value of each
+            invariant pair, which ``violations`` and ``hints`` were
+            derived from (None when the tuple came from elsewhere, e.g.
+            an ARX network).
     """
 
     causes: list[RankedCause]
     violations: np.ndarray
     hints: list[tuple[str, str]] = field(default_factory=list)
     matched: bool = False
+    observed: np.ndarray | None = None
 
     @property
     def top_cause(self) -> str | None:
@@ -64,22 +112,26 @@ class InferenceResult:
 def rank_causes(
     database: SignatureDatabase,
     violations: np.ndarray,
-    hints: list[tuple[str, str]],
+    pair_names: list[tuple[str, str]],
     *,
     measure: str,
     min_similarity: float,
     top_k: int,
+    observed: np.ndarray | None = None,
 ) -> InferenceResult:
     """The ranking half of cause inference, whatever built the violation
     tuple (MIC invariants here, ARX networks in :mod:`repro.arx`): the
     ``top_k`` signatures most similar to ``violations``, ``matched`` when
-    the best clears ``min_similarity``."""
+    the best clears ``min_similarity``, and the names of the violated
+    pairs (of ``pair_names``, aligned with the tuple) as hints."""
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    ranking = database.rank(violations, measure=measure)
-    causes = [RankedCause(p, s) for p, s in ranking[:top_k]]
+    query = np.asarray(violations, dtype=bool)
+    ranking = database.best_per_problem(query, measure=measure)
+    causes = [RankedCause.against(query, *best) for best in ranking[:top_k]]
     matched = bool(causes) and causes[0].score >= min_similarity
-    return InferenceResult(causes, violations, hints, matched)
+    hints = [pair_names[k] for k in np.flatnonzero(query)]
+    return InferenceResult(causes, violations, hints, matched, observed)
 
 
 class CauseInferenceEngine:
@@ -116,6 +168,9 @@ class CauseInferenceEngine:
     ) -> InferenceResult:
         """Diagnose one abnormal window.
 
+        The observed pair values are read from ``abnormal`` once; the
+        violation tuple, the hints and the ranking all derive from them.
+
         Args:
             abnormal: association matrix computed over the abnormal window.
             top_k: length of the returned cause list.
@@ -123,13 +178,15 @@ class CauseInferenceEngine:
         Returns:
             The :class:`InferenceResult`.
         """
+        observed = self.invariants.observed(abnormal)
         return rank_causes(
             self.database,
-            self.invariants.violations(abnormal, self.epsilon),
-            self.invariants.violated_pair_names(abnormal, self.epsilon),
+            self.invariants.violated(observed, self.epsilon),
+            self.invariants.pair_names(),
             measure=self.measure,
             min_similarity=self.min_similarity,
             top_k=top_k,
+            observed=observed,
         )
 
     def learn(

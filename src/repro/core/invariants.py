@@ -76,8 +76,9 @@ class AssociationMatrix:
             catalog: metric vocabulary fixing M.
             params: MIC tuning constants.
 
-        The window is looked up in the process-wide content-hash cache
-        first, so identical windows cost one hash instead of a MIC sweep.
+        The sweep goes through the content-hash cache of
+        :mod:`repro.stats.micfast`, which the system's own paths no longer
+        hit: each window is scored once.
         """
         catalog = catalog or MetricCatalog()
         arr = np.asarray(samples, dtype=float)
@@ -123,13 +124,20 @@ class InvariantSet:
             (self.catalog.name(i), self.catalog.name(j)) for i, j in self.pairs
         ]
 
-    def violations(
-        self, abnormal: AssociationMatrix, epsilon: float = EPSILON
+    def observed(self, abnormal: AssociationMatrix) -> np.ndarray:
+        """The abnormal window's association value of each invariant
+        pair, aligned with :attr:`pairs`."""
+        return np.array(
+            [abnormal.values[i, j] for i, j in self.pairs], dtype=float
+        )
+
+    def violated(
+        self, observed: np.ndarray, epsilon: float = EPSILON
     ) -> np.ndarray:
-        """The binary violation tuple against an abnormal matrix (§2).
+        """The binary violation tuple of per-pair observed values (§2).
 
         Args:
-            abnormal: association matrix of the abnormal window.
+            observed: per-pair values (see :meth:`observed`).
             epsilon: violation threshold ε.
 
         Returns:
@@ -137,19 +145,13 @@ class InvariantSet:
         """
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        observed = np.array(
-            [abnormal.values[i, j] for i, j in self.pairs], dtype=float
-        )
         return np.abs(self.baseline - observed) >= epsilon
 
-    def violated_pair_names(
+    def violations(
         self, abnormal: AssociationMatrix, epsilon: float = EPSILON
-    ) -> list[tuple[str, str]]:
-        """Names of the violated pairs — the paper's "hints" output for
-        problems with no matching signature (§4.3)."""
-        flags = self.violations(abnormal, epsilon)
-        names = self.pair_names()
-        return [names[k] for k in np.flatnonzero(flags)]
+    ) -> np.ndarray:
+        """The binary violation tuple against an abnormal matrix."""
+        return self.violated(self.observed(abnormal), epsilon)
 
 
 class InvariantTracker:

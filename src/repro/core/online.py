@@ -17,10 +17,9 @@ an agent would run per operation context:
    cool-down before re-arming (one incident, one report).
 
 Diagnosis goes through :meth:`InvarNetX.infer`, so the collected window's
-association matrix is computed by the batched MIC engine behind
-the process-wide content-hash cache (:mod:`repro.stats.micfast`): if the
-same window is ever re-scored — a replayed incident, or several monitors
-watching mirrored telemetry — the MIC sweep is not repeated.
+association matrix is computed once, by the batched MIC engine
+(:mod:`repro.stats.micfast`); the event's explain report and incident
+bundle are projections of that one :class:`InferenceResult`.
 
 Each tick is validated once, by :meth:`OnlineMonitor.accepts`, inside
 :meth:`OnlineMonitor.observe`, which refuses a bad tick with
@@ -94,8 +93,8 @@ class DiagnosisEvent:
         alarm_tick: tick the alarm was raised.
         inference: the cause-inference result.
         window: the collected abnormal metric window the inference ran
-            on — kept on the event so a serving layer can re-explain the
-            incident on demand (:func:`repro.obs.explain_window`).
+            on — the evidence an incident bundle stores and replay
+            re-infers from (explanations project ``inference``).
     """
 
     tick: int

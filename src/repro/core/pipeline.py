@@ -386,11 +386,10 @@ class InvarNetX:
         self, samples: np.ndarray, catalog: MetricCatalog | None = None
     ) -> AssociationMatrix:
         """Pairwise MIC matrix of one observation window (helper shared by
-        training and diagnosis).
+        training and diagnosis), on the batched MIC engine.
 
-        Runs on the batched MIC engine behind the process-wide window
-        cache: re-scoring a byte-identical window (common when training and
-        diagnosis revisit the same run) costs one content hash.  Diagnosis
+        Each diagnosis scores its window here once; its explain report and
+        incident bundle project the resulting inference.  Diagnosis
         passes the catalog of the context's stored invariants, which a
         warm-started pipeline need not share with its own ``catalog``.
         """

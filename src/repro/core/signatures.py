@@ -71,7 +71,8 @@ def ensemble_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * (matching_similarity(a, b) + jaccard_similarity(a, b))
 
 
-#: Named similarity measures accepted by :meth:`SignatureDatabase.rank`.
+#: Named similarity measures accepted by
+#: :meth:`SignatureDatabase.best_per_problem`.
 SIMILARITY_MEASURES = {
     "matching": matching_similarity,
     "jaccard": jaccard_similarity,
@@ -177,7 +178,8 @@ class SignatureDatabase:
             threshold: similarity at or above which two problems conflict.
             measure: similarity measure name.  A conflict is two problems
                 the *ranker* cannot tell apart, so this should be the same
-                measure :meth:`rank` uses (matching by default).
+                measure :meth:`best_per_problem` ranks by (matching by
+                default).
 
         Returns:
             ``(problem_a, problem_b, similarity)`` triples sorted by
@@ -212,13 +214,13 @@ class SignatureDatabase:
     def best_per_problem(
         self, violations: np.ndarray, measure: str = "matching"
     ) -> list[tuple[str, float, int, Signature]]:
-        """Each problem's best-matching signature, ranked best first.
+        """Rank stored problems by similarity to a violation tuple.
 
-        The single ranking implementation behind :meth:`rank` and the
-        incident-explanation report (:mod:`repro.obs.explain`): each
-        problem scores as its best signature under ``measure``, ties
-        break toward the signature sharing more violated positions with
-        the query, then alphabetically for full determinism.
+        The one ranking implementation, behind
+        :func:`repro.core.inference.rank_causes`: each problem scores as
+        its best signature under ``measure``, ties break toward the
+        signature sharing more violated positions with the query, then
+        alphabetically for full determinism.
 
         Args:
             violations: the query tuple.
@@ -250,28 +252,4 @@ class SignatureDatabase:
         return [
             (problem, score, shared, sig)
             for problem, (score, shared, sig) in ordered
-        ]
-
-    def rank(
-        self, violations: np.ndarray, measure: str = "matching"
-    ) -> list[tuple[str, float]]:
-        """Rank stored problems by similarity to a violation tuple.
-
-        Each problem's score is the best similarity over its stored
-        signatures.  Ties break toward the signature sharing more violated
-        positions, then alphabetically for full determinism.
-
-        Args:
-            violations: the query tuple.
-            measure: similarity measure name (``"matching"`` default, or
-                ``"jaccard"``).
-
-        Returns:
-            ``(problem, score)`` pairs, best first.
-        """
-        return [
-            (problem, score)
-            for problem, score, _, _ in self.best_per_problem(
-                violations, measure
-            )
         ]

@@ -15,14 +15,15 @@ state-machine transitions and model revision that produced the diagnosis
 
 - **Incident bundles** — on diagnosis, :func:`commit_bundle` writes a
   content-fingerprinted ``incidents/<id>/`` directory holding the flight
-  ring, the abnormal window, the inference report, the
-  :func:`~repro.obs.explain.explain_window` evidence, the context's model
-  artifacts, and environment/config fingerprints, committed by its
-  manifest (DESIGN.md §9).
+  ring, the abnormal window, the inference report, its explain report
+  (projected from the diagnosis' own inference by
+  :func:`~repro.obs.explain.explain_inference`, no MIC sweep), the
+  context's model artifacts, and environment/config fingerprints,
+  committed by its manifest (DESIGN.md §9).
 
-- :func:`replay_bundle` — re-runs detection and diagnosis *from the
-  bundle alone* (the models travel inside it) and asserts the reproduced
-  cause ranking and explain report match the originals byte for byte,
+- :func:`replay_bundle` — re-runs diagnosis *from the bundle alone*
+  (the models travel inside it) and asserts the reproduced cause
+  ranking and explain report match the originals byte for byte,
   turning every production alarm into a deterministic, shippable test
   case (``invarnetx replay <bundle>``).
 
@@ -61,6 +62,7 @@ from repro.core.pipeline import (
     InvarNetX,
     InvarNetXConfig,
 )
+from repro.obs.explain import explain_inference
 from repro.obs.ledger import config_fingerprint
 from repro.telemetry.metrics import MetricCatalog
 
@@ -384,13 +386,10 @@ def commit_bundle(
         return IncidentBundle(path=bundle_dir, manifest=existing)
     begin_commit(bundle_dir)
 
-    from repro.obs.explain import explain_window
-
-    explanation = explain_window(
-        pipeline, context, window, top_k=REPLAY_TOP_K,
-        request_id=request_id or None,
-    )
     inference = event.inference
+    explanation = explain_inference(
+        pipeline, context, inference, request_id=request_id or None
+    )
     texts = {
         "flight.json": canonical_json(snapshot.to_json()),
         "window.json": canonical_json({"window": window.tolist()}),
@@ -589,11 +588,15 @@ def replay_bundle(path: str | Path, passes: int = 2) -> ReplayResult:
     A fresh pipeline is rebuilt from nothing but the bundle: the config
     and catalog from ``environment.json``, the context's models from
     ``models/``.  Each pass re-runs :meth:`InvarNetX.infer` on the
-    bundled window and :func:`~repro.obs.explain.explain_window` on the
-    result, comparing the cause ranking and the rendered report bytes
-    against the originals; recorded drift verdicts are re-computed from
-    the flight ring.  Two passes by default: the second proves the
-    reproduction is deterministic, not a cache accident.
+    bundled window and projects that pass's explain report from it
+    (:func:`~repro.obs.explain.explain_inference`), comparing the cause
+    ranking and the rendered report bytes against the originals;
+    recorded drift verdicts are re-computed from the flight ring.  Two
+    passes by default, which prove the ranking and the projection
+    deterministic, not the MIC sweep: ``infer`` scores through the
+    content-hash cache of :mod:`repro.stats.micfast`, so pass two (and
+    pass one, if this process already scored the window) reads the
+    cached matrix.
 
     Args:
         path: a committed bundle directory.
@@ -640,8 +643,6 @@ def replay_bundle(path: str | Path, passes: int = 2) -> ReplayResult:
     ]
     recorded_explain = bundle.explain_text()
 
-    from repro.obs.explain import explain_window
-
     for _ in range(passes):
         inference = pipeline.infer(
             context, window, top_k=int(report.get("top_k", REPLAY_TOP_K))
@@ -661,11 +662,10 @@ def replay_bundle(path: str | Path, passes: int = 2) -> ReplayResult:
                 f"matched flag diverged: recorded {report['matched']}, "
                 f"replayed {inference.matched}"
             )
-        explanation = explain_window(
+        explanation = explain_inference(
             pipeline,
             context,
-            window,
-            top_k=int(report.get("top_k", REPLAY_TOP_K)),
+            inference,
             request_id=bundle.manifest.get("request_id") or None,
         )
         if explanation.render_text() != recorded_explain:

@@ -1,9 +1,9 @@
 """Incident explainability: *why* did a cause rank first?
 
-:class:`~repro.core.inference.InferenceResult` tells an operator *what*
-the diagnoser concluded; this module reconstructs the evidence behind
-the conclusion — the report a person reads before trusting (or
-overruling) the ranking:
+:class:`~repro.core.inference.InferenceResult` holds *what* the
+diagnoser concluded and the evidence it concluded it from; this module
+projects that one record onto the report a person reads before trusting
+(or overruling) the ranking, with no second MIC sweep or ranking:
 
 - per ranked cause, the similarity breakdown against its best stored
   signature: matching and Jaccard scores, agreeing positions, shared /
@@ -27,6 +27,7 @@ the package (``repro.obs.explain_run`` works, but nothing here loads at
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,15 +35,19 @@ import numpy as np
 
 from repro.core.anomaly import AnomalyReport
 from repro.core.context import OperationContext
-from repro.core.pipeline import ABNORMAL_WINDOW_TICKS, InvarNetX
-from repro.core.signatures import jaccard_similarity, matching_similarity
+from repro.core.inference import InferenceResult, RankedCause
+from repro.core.pipeline import (
+    ABNORMAL_WINDOW_TICKS,
+    InvarNetX,
+    cut_abnormal_window,
+)
 from repro.telemetry.trace import RunTrace
 
 __all__ = [
     "PairDelta",
-    "CauseBreakdown",
     "ResidualPoint",
     "IncidentExplanation",
+    "explain_inference",
     "explain_window",
     "explain_run",
 ]
@@ -88,60 +93,6 @@ class PairDelta:
 
 
 @dataclass(frozen=True)
-class CauseBreakdown:
-    """The similarity evidence for one ranked cause.
-
-    All counts compare the query violation tuple against the cause's
-    *best* stored signature — the one :meth:`SignatureDatabase.rank`
-    scored the problem by, so the report explains exactly the ranking
-    the diagnoser produced.
-
-    Attributes:
-        rank: 1-based position in the cause list.
-        problem: root-cause name.
-        score: similarity under the pipeline's configured measure.
-        matching: simple-matching coefficient vs the signature.
-        jaccard: Jaccard index over violated positions.
-        agreeing: positions where query and signature agree.
-        shared_violations: positions both violate.
-        query_only: positions only the query violates.
-        signature_only: positions only the signature violates.
-        tuple_length: total invariant positions.
-        signature_workload: workload recorded on the stored signature.
-        signature_ip: node address recorded on the stored signature.
-    """
-
-    rank: int
-    problem: str
-    score: float
-    matching: float
-    jaccard: float
-    agreeing: int
-    shared_violations: int
-    query_only: int
-    signature_only: int
-    tuple_length: int
-    signature_workload: str
-    signature_ip: str
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "rank": self.rank,
-            "problem": self.problem,
-            "score": round(self.score, 4),
-            "matching": round(self.matching, 4),
-            "jaccard": round(self.jaccard, 4),
-            "agreeing": self.agreeing,
-            "shared_violations": self.shared_violations,
-            "query_only": self.query_only,
-            "signature_only": self.signature_only,
-            "tuple_length": self.tuple_length,
-            "signature_workload": self.signature_workload,
-            "signature_ip": self.signature_ip,
-        }
-
-
-@dataclass(frozen=True)
 class ResidualPoint:
     """One CPI residual sample around the alarm tick."""
 
@@ -157,6 +108,13 @@ class ResidualPoint:
         }
 
 
+def _cause_json(rank: int, cause: RankedCause) -> dict[str, Any]:
+    data: dict[str, Any] = {"rank": rank, **dataclasses.asdict(cause)}
+    for key in ("score", "matching", "jaccard"):
+        data[key] = round(data[key], 4)
+    return data
+
+
 @dataclass
 class IncidentExplanation:
     """The full evidence report of one diagnosed incident.
@@ -168,7 +126,7 @@ class IncidentExplanation:
         min_similarity: floor the top score had to clear to match.
         matched: did the top cause clear the floor?
         top_cause: name of the matched cause, or None.
-        causes: per-cause similarity breakdowns, best first.
+        causes: ranked causes with their breakdowns, best first.
         pairs: every invariant pair's delta evidence, invariant order.
         alarm_tick: tick the detector first reported the problem, or
             None when no anomaly report was supplied.
@@ -187,7 +145,7 @@ class IncidentExplanation:
     min_similarity: float
     matched: bool
     top_cause: str | None
-    causes: list[CauseBreakdown]
+    causes: list[RankedCause]
     pairs: list[PairDelta]
     alarm_tick: int | None = None
     threshold_upper: float | None = None
@@ -227,7 +185,10 @@ class IncidentExplanation:
             "matched": self.matched,
             "top_cause": self.top_cause,
             "violated_metrics": self.violated_metrics,
-            "causes": [c.to_json() for c in self.causes],
+            "causes": [
+                _cause_json(rank, c)
+                for rank, c in enumerate(self.causes, start=1)
+            ],
             "pairs": [p.to_json() for p in self.pairs],
             "alarm_tick": self.alarm_tick,
             "threshold_upper": (
@@ -270,10 +231,10 @@ class IncidentExplanation:
         lines.append("-------------")
         if not self.causes:
             lines.append("  (signature database is empty)")
-        for c in self.causes:
+        for rank, c in enumerate(self.causes, start=1):
             origin = f"{c.signature_workload}@{c.signature_ip}"
             lines.append(
-                f"  {c.rank}. {c.problem}  score={_f(c.score)}  "
+                f"  {rank}. {c.problem}  score={_f(c.score)}  "
                 f"matching={_f(c.matching)}  jaccard={_f(c.jaccard)}"
             )
             lines.append(
@@ -344,85 +305,49 @@ def _residual_points(
 
 
 # repro: deterministic
-def explain_window(
+def explain_inference(
     pipeline: InvarNetX,
     context: OperationContext,
-    abnormal_window: np.ndarray,
+    inference: InferenceResult,
     anomaly: AnomalyReport | None = None,
-    top_k: int = 3,
     residual_margin: int = RESIDUAL_MARGIN,
     request_id: str | None = None,
 ) -> IncidentExplanation:
-    """Build the evidence report for one abnormal metric window.
+    """Project one inference onto its evidence report.
 
-    Recomputes the violation tuple and the per-problem ranking with the
-    pipeline's own configuration (same ε, same similarity measure, same
-    :meth:`SignatureDatabase.best_per_problem` tie-breaking), so the
-    report explains exactly what :meth:`InvarNetX.infer` would return.
+    Causes, breakdowns, observed pair values and violation flags come
+    from ``inference`` as diagnosis produced them; the pipeline adds only
+    its configuration (ε, measure, similarity floor, pair names and
+    baselines, drift threshold).  No MIC sweep and no ranking.
 
     Args:
-        pipeline: a trained pipeline holding the context's models.
+        pipeline: the trained pipeline that produced ``inference``.
         context: operation context of the incident.
-        abnormal_window: (ticks, M) metric samples of the incident.
+        inference: the diagnosis' result (one without observed values
+            projects no pairs).
         anomaly: the detector's report, for the residual section
             (omitted when None).
-        top_k: number of causes to break down.
         residual_margin: residual ticks shown each side of the alarm.
         request_id: HTTP request id to stamp on the report (None keeps
             the report byte-identical to non-HTTP diagnoses).
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
     slot = pipeline.context_models(context)
     if slot.invariants is None:
         raise RuntimeError(f"no invariants built for {context}")
     invariants = slot.invariants
     config = pipeline.config
-    abnormal = pipeline.association_matrix(abnormal_window, invariants.catalog)
-
-    observed = np.array(
-        [abnormal.values[i, j] for i, j in invariants.pairs], dtype=float
-    )
-    baseline = np.asarray(invariants.baseline, dtype=float)
-    deltas = np.abs(baseline - observed)
-    flags = invariants.violations(abnormal, config.epsilon)
-    names = invariants.pair_names()
-    pairs = [
-        PairDelta(
-            metric_a=names[k][0],
-            metric_b=names[k][1],
-            baseline=float(baseline[k]),
-            observed=float(observed[k]),
-            delta=float(deltas[k]),
-            violated=bool(flags[k]),
-        )
-        for k in range(len(invariants))
-    ]
-
-    query = np.asarray(flags, dtype=bool)
-    ranking = slot.database.best_per_problem(
-        query, measure=config.similarity
-    )[:top_k]
-    causes: list[CauseBreakdown] = []
-    for rank, (problem, score, shared, sig) in enumerate(ranking, start=1):
-        arr = sig.as_array()
-        causes.append(
-            CauseBreakdown(
-                rank=rank,
-                problem=problem,
-                score=float(score),
-                matching=matching_similarity(query, arr),
-                jaccard=jaccard_similarity(query, arr),
-                agreeing=int(np.sum(query == arr)),
-                shared_violations=shared,
-                query_only=int(np.sum(query & ~arr)),
-                signature_only=int(np.sum(~query & arr)),
-                tuple_length=int(arr.size),
-                signature_workload=sig.workload,
-                signature_ip=sig.ip,
+    pairs: list[PairDelta] = []
+    observed = inference.observed
+    if observed is not None:
+        baseline = invariants.baseline
+        deltas = np.abs(baseline - observed)
+        pairs = [
+            PairDelta(
+                a, b, float(baseline[k]), float(observed[k]),
+                float(deltas[k]), bool(inference.violations[k]),
             )
-        )
-    matched = bool(causes) and causes[0].score >= config.min_similarity
+            for k, (a, b) in enumerate(invariants.pair_names())
+        ]
 
     alarm_tick: int | None = None
     threshold_upper: float | None = None
@@ -441,14 +366,42 @@ def explain_window(
         measure=config.similarity,
         epsilon=config.epsilon,
         min_similarity=config.min_similarity,
-        matched=matched,
-        top_cause=causes[0].problem if matched else None,
-        causes=causes,
+        matched=inference.matched,
+        top_cause=inference.top_cause,
+        causes=list(inference.causes),
         pairs=pairs,
         alarm_tick=alarm_tick,
         threshold_upper=threshold_upper,
         threshold_rule=threshold_rule,
         residuals=residuals,
+        request_id=request_id,
+    )
+
+
+# repro: deterministic
+def explain_window(
+    pipeline: InvarNetX,
+    context: OperationContext,
+    abnormal_window: np.ndarray,
+    anomaly: AnomalyReport | None = None,
+    top_k: int = 3,
+    residual_margin: int = RESIDUAL_MARGIN,
+    request_id: str | None = None,
+) -> IncidentExplanation:
+    """Build the evidence report for one abnormal metric window: one
+    :meth:`InvarNetX.infer` pass, projected by :func:`explain_inference`,
+    so the report explains exactly what ``infer`` returns.
+
+    ``abnormal_window`` is the (ticks, M) metric samples of the
+    incident and ``top_k`` the number of causes to break down; the other
+    arguments are :func:`explain_inference`'s.
+    """
+    return explain_inference(
+        pipeline,
+        context,
+        pipeline.infer(context, abnormal_window, top_k=top_k),
+        anomaly=anomaly,
+        residual_margin=residual_margin,
         request_id=request_id,
     )
 
@@ -464,9 +417,9 @@ def explain_run(
 ) -> IncidentExplanation | None:
     """Detect and explain one run end to end.
 
-    Runs the same detection + window extraction the online path uses
-    (:meth:`InvarNetX.diagnose_run`), then builds the evidence report
-    for the extracted abnormal window.
+    Runs the detection :meth:`InvarNetX.diagnose_run` runs, cuts the
+    abnormal window from that one report (a second detection would
+    double every detection counter), then explains the window.
 
     Returns:
         The explanation, or None when no performance problem was
@@ -474,10 +427,9 @@ def explain_run(
     """
     node = run.node(context.node_id)
     report = pipeline.detect(context, node.cpi)
-    if not report.problem_detected:
+    window = cut_abnormal_window(node, report, window_ticks)
+    if window is None:
         return None
-    window = pipeline.extract_abnormal_window(context, run, window_ticks)
-    assert window is not None  # problem_detected implies a window
     return explain_window(
         pipeline,
         context,

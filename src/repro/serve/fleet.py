@@ -25,10 +25,10 @@ contexts (§3.2's deployment unit).  :class:`FleetMonitor` owns them all:
   malformed;
 - an **incident sink** — every alarm/diagnosis is counted, logged,
   ledger-recorded (when the pipeline has an active run ledger) and the
-  diagnosis windows are retained in a bounded ring so
+  diagnoses are retained in a bounded ring so
   :meth:`FleetMonitor.explain` can produce the full evidence report on
-  demand (:func:`repro.obs.explain_window`; the MIC sweep hits the
-  content-hash cache because diagnosis already scored that window);
+  demand by projecting the inference each diagnosis carries
+  (:func:`repro.obs.explain.explain_inference`; no MIC sweep);
 - the **blackbox** — pass ``blackbox_dir`` and every lane carries a
   :class:`~repro.obs.blackbox.FlightRecorder` as
   :attr:`OnlineMonitor.recorder` (bounded ring of raw ticks, drift
@@ -67,6 +67,7 @@ from repro.core.online import (
 )
 from repro.core.pipeline import InvarNetX
 from repro.obs.blackbox import FlightRecorder, FlightSnapshot, commit_bundle
+from repro.obs.explain import IncidentExplanation, explain_inference
 from repro.store import ContextKey, LockedStore
 
 __all__ = [
@@ -510,26 +511,21 @@ class FleetMonitor:
         with self._incident_lock:
             return list(self._incidents.items())
 
-    def explain(self, context: OperationContext):
-        """Full evidence report for the context's last diagnosis.
-
-        Returns:
-            An :class:`repro.obs.explain.IncidentExplanation` (stamped
-            with the triggering request id when the incident arrived
-            over HTTP).
+    def explain(self, context: OperationContext) -> IncidentExplanation:
+        """Full evidence report for the context's last diagnosis,
+        stamped with the triggering request id when the incident arrived
+        over HTTP.
 
         Raises:
             KeyError: no retained incident for the context.
         """
         with self._incident_lock:
             retained = self._incidents.get(context.key())
-        if retained is None or retained.event.window is None:
+        if retained is None:
             raise KeyError(f"no retained incident for {context}")
-        from repro.obs.explain import explain_window
-
-        return explain_window(
+        return explain_inference(
             self.pipeline,
             context,
-            retained.event.window,
+            retained.event.inference,
             request_id=retained.request_id or None,
         )

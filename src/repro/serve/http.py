@@ -110,25 +110,38 @@ def endpoint_label(path: str) -> str:
 
 
 class HttpMetrics:
-    """The HTTP layer's RED families, pre-bound on one registry."""
+    """The HTTP layer's RED families on one registry, bound again by the
+    first request after a reset (one int compare on the registry
+    generation, as :class:`~repro.obs.metrics.CounterBinding` does)."""
 
     def __init__(self, registry) -> None:
-        self.requests = registry.counter(
-            REQUESTS_TOTAL,
-            "HTTP requests by endpoint, method and status.",
-            ("endpoint", "method", "status"),
-        )
-        self.seconds = registry.histogram(
-            REQUEST_SECONDS,
-            "HTTP request latency in seconds.",
-            ("endpoint",),
-            buckets=LATENCY_BUCKETS,
-        )
-        self.disconnects = registry.counter(
-            DISCONNECTS_TOTAL,
-            "Responses abandoned because the client disconnected.",
-            ("endpoint",),
-        )
+        self._registry = registry
+        self._generation = -1
+        self.bound()
+
+    def bound(self) -> "HttpMetrics":
+        """These handles, bound to the registry's current families."""
+        registry = self._registry
+        generation = registry.generation
+        if generation != self._generation:
+            self.requests = registry.counter(
+                REQUESTS_TOTAL,
+                "HTTP requests by endpoint, method and status.",
+                ("endpoint", "method", "status"),
+            )
+            self.seconds = registry.histogram(
+                REQUEST_SECONDS,
+                "HTTP request latency in seconds.",
+                ("endpoint",),
+                buckets=LATENCY_BUCKETS,
+            )
+            self.disconnects = registry.counter(
+                DISCONNECTS_TOTAL,
+                "Responses abandoned because the client disconnected.",
+                ("endpoint",),
+            )
+            self._generation = generation  # last: families first
+        return self
 
 
 def _event_json(context: OperationContext, event) -> dict:
@@ -286,14 +299,15 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
                 self.close_connection = True
         elapsed = time.perf_counter() - start
         if self.metrics is not None:
+            metrics = self.metrics.bound()
             if disconnected:
-                self.metrics.disconnects.inc(endpoint=endpoint)
-            self.metrics.requests.inc(
+                metrics.disconnects.inc(endpoint=endpoint)
+            metrics.requests.inc(
                 endpoint=endpoint,
                 method=method,
                 status=str(self._status or 0),
             )
-            self.metrics.seconds.observe(elapsed, endpoint=endpoint)
+            metrics.seconds.observe(elapsed, endpoint=endpoint)
         obs.log_event(
             _log,
             logging.INFO if disconnected else logging.DEBUG,

@@ -7,9 +7,9 @@ module hands every pair of sharable columns to the batched kernel of
 :mod:`repro.stats.mic` in one serial call: each column's precompute is
 built once, and the per-pair work runs as array operations over chunks
 of (pair x grid) items.  A content-hash LRU cache of whole association
-matrices (:class:`AssociationCache`) sits on top, so an online monitor
-re-scoring an unchanged window, or a batch pipeline revisiting a run,
-never recomputes an identical input.
+matrices (:class:`AssociationCache`) sits on top, so a caller scoring an
+identical input twice pays one hash; the system's own paths score each
+window once.
 
 Equivalence contract: for every pair, the engine returns *exactly* the
 value of :func:`repro.stats.mic.mic` on the two columns.  Pairs with a

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.inference import CauseInferenceEngine
 from repro.core.invariants import (
     EPSILON,
     TAU,
@@ -13,6 +14,7 @@ from repro.core.invariants import (
     InvariantTracker,
     select_invariants,
 )
+from repro.core.signatures import SignatureDatabase
 from repro.telemetry.metrics import MetricCatalog
 
 CAT3 = MetricCatalog(names=("a", "b", "c"))
@@ -195,8 +197,10 @@ class TestViolations:
         assert flags[0]  # |0.9 - 0.7| == 0.2 -> violated
 
     def test_violated_pair_names(self, invariants):
+        """Inference's hints: the names of the violated pairs."""
         abnormal = _matrix([[1, 0.1, 0], [0.1, 1, 0], [0, 0, 1]])
-        names = invariants.violated_pair_names(abnormal)
+        engine = CauseInferenceEngine(invariants, SignatureDatabase())
+        names = engine.infer(abnormal).hints
         assert names == [("a", "b")]
 
     def test_invalid_epsilon(self, invariants):

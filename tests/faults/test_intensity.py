@@ -107,5 +107,7 @@ class TestEnsembleSimilarity:
 
         db = SignatureDatabase()
         db.add(np.array([True, False]), "A")
-        ranking = db.rank(np.array([True, False]), measure="ensemble")
-        assert ranking[0] == ("A", 1.0)
+        ranking = db.best_per_problem(
+            np.array([True, False]), measure="ensemble"
+        )
+        assert ranking[0][:2] == ("A", 1.0)

@@ -38,6 +38,7 @@ from repro.obs.blackbox import (
 from repro.serve import FleetMonitor, Tick
 from repro.serve.incidents import scan_bundles
 from repro.stats.arima import ARIMAModel, ARIMAOrder
+from repro.stats.micfast import clear_association_cache
 from repro.store import ContextModels
 from repro.telemetry.metrics import MetricCatalog
 
@@ -418,6 +419,9 @@ def _id_of(fleet_event, incidents: Path) -> str:
 class TestReplay:
     def test_replay_reproduces_byte_for_byte_twice(self, committed):
         _, _, _, incidents, _ = committed
+        # the bundles were committed in this process: without this, the
+        # first pass would read the diagnosis' matrix from the cache
+        clear_association_cache()
         for path in committed_dirs(incidents)[:2]:
             result = replay_bundle(path)  # two passes by default
             assert result.ok, result.mismatches

@@ -1,8 +1,9 @@
-"""One diagnose_run is one detection, as the detector metrics count it.
+"""One diagnose_run (or explain_run) is one detection, as the detector
+metrics count it.
 
-``diagnose_run`` cuts the abnormal window from the report it already
-holds; running detection a second time for the cut would double every
-detection counter and histogram for each diagnosed incident.
+Both cut the abnormal window from the report they already hold; running
+detection a second time for the cut would double every detection counter
+and histogram for each diagnosed incident.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.faults import FaultSpec, build_fault
+from repro.obs.explain import explain_run
 
 
 def _incident(cluster):
@@ -75,3 +77,22 @@ class TestDiagnoseRunDetectsOnce:
         )
         assert len(seen) == 1
         assert np.array_equal(seen[0], window)
+
+
+class TestExplainRunDetectsOnce:
+    def test_counters_count_one_detection(
+        self, cluster, trained_pipeline, wordcount_context
+    ):
+        run = _incident(cluster)
+        obs.configure(enabled=True)
+        explanation = explain_run(trained_pipeline, wordcount_context, run)
+        assert explanation is not None
+        registry = obs.metrics_registry()
+        problems = registry.counter(
+            "invarnetx_problems_detected_total", labelnames=("context",)
+        )
+        assert sum(value for _, value in problems.samples()) == 1
+        detect_seconds = registry.histogram(
+            "invarnetx_detect_seconds", labelnames=("context",)
+        )
+        assert [count for _, _, count, _ in detect_seconds.samples()] == [1]

@@ -99,6 +99,29 @@ class TestMetricsEndpoint:
             '{endpoint="/metrics",method="GET",status="200"} 1'
         ) in body.decode("utf-8")
 
+    def test_requests_survive_a_registry_reset(self, served_fleet):
+        fleet, contexts, base = served_fleet
+        registry = obs.metrics_registry()
+
+        def health_requests():
+            family = registry.family(REQUESTS_TOTAL)
+            if family is None:
+                return 0
+            return family.value(
+                endpoint="/health", method="GET", status="200"
+            )
+
+        _get(f"{base}/health")
+        assert _await(lambda: health_requests() == 1)
+        obs.reset()
+        _get(f"{base}/health")
+        assert _await(lambda: health_requests() == 1)
+        _, body = _get(f"{base}/metrics")
+        assert (
+            'invarnetx_http_requests_total'
+            '{endpoint="/health",method="GET",status="200"} 1'
+        ) in body.decode("utf-8")
+
     def test_latency_histogram_present(self, served_fleet):
         fleet, contexts, base = served_fleet
         _get(f"{base}/health")

@@ -178,15 +178,18 @@ REGISTRY_DIGESTS = {
     ),
 }
 
+#: ``build_pipeline`` stubs inference (no causes, no observed pair
+#: values), and a bundle's explain.* project the diagnosis' inference,
+#: so they agree with its report.json: no ranked cause, no pairs.
 BUNDLE_DIGESTS = {
     "inc-0322ad3b6d9a/environment.json": (
         "6cf8e194159ab6dd4d8f51511f10a32335b79df33863896032231c821e73064b"
     ),
     "inc-0322ad3b6d9a/explain.json": (
-        "58d82eb7a5844c5478c4547cec540765f445c86d5d35a8c4d38a08d7ef0bd991"
+        "539f1e9e402b80745dbc410547b12e1ca47632d9899e434e7926ad1871499ac8"
     ),
     "inc-0322ad3b6d9a/explain.txt": (
-        "248684786005192d4489269070d55f2dcac86d1c8d69d6fd4721706e931f08bf"
+        "d2a33570cd423dd677d14299a22a62102280b163a78787a20146ddf05a5c9121"
     ),
     "inc-0322ad3b6d9a/flight.json": (
         "25d53674a0320af7899e638613007a5be8b0fa2ce242b4b67b9a188e50f8a74c"
@@ -213,10 +216,10 @@ BUNDLE_DIGESTS = {
         "6cf8e194159ab6dd4d8f51511f10a32335b79df33863896032231c821e73064b"
     ),
     "inc-436994998c00/explain.json": (
-        "bc76300a19f245f61c92473871b084f7067aec840888c81ea1347161bddd47f5"
+        "d835597b91b765c1f30e7776bf7298aaf9ae0f0b9d47c6bf03ab4d70ecdc06a8"
     ),
     "inc-436994998c00/explain.txt": (
-        "98b9cdbc1d8dfb6d1b534410729acdc2dcb0c99a67656882d28755c567225270"
+        "bfedae6fa45c99d4eb70a8a29e8a27835e15e91fdfb1a432c6da63b74cedc184"
     ),
     "inc-436994998c00/flight.json": (
         "d8360bbfbcab1b0f0911239775a8e890e168ab72392dc2f6e52bf881f293dddd"
