@@ -23,21 +23,23 @@ the reference implementation.
 
 One batched kernel scores every pair of a window (:func:`_mic_pairs`).
 Everything that depends on a single column only — its sort order, its
-tie structure, and the whole family of y-axis equipartitions (one per
-row count, each with its entropy ``H(Q)``) — is computed once by
+tie groups, and the whole family of y-axis equipartitions (one per row
+count, each with its entropy ``H(Q)``) — is computed once by
 :func:`prepare_column`.  An *item* is an ordered pair ``(x, y)`` with one
-entry of ``y``'s plan.  Clump construction, cumulative row counts, the
-``(k+1, k+1)`` partial-entropy gain matrices (gathered from a precomputed
-``m * log(m)`` table, no transcendental calls in the hot loop) and the
-x-axis dynamic programme all run as array operations over chunks of
-items whose scratch fits :data:`_CHUNK_BYTES`.  Shorter items are padded:
-padded boundaries repeat ``n`` (their cells hold no points, so they are
-``-inf``) and padded rows count zero (they add ``nlogn[0] = 0``), so every
-item's scores are bit-identical to scoring it alone.  Only the superclump
-walk runs per item, and only when an item has more clumps than its
-``k_hat``.  Scalar :func:`mic` is the same kernel on a two-column window;
-:func:`repro.stats.micfast.mic_matrix_fast` runs it, serially, over a
-whole association matrix.
+entry of ``y``'s plan.  Clump construction, cumulative row counts and the
+x-axis dynamic programme all run as array operations over chunks of items
+whose arrays fit :data:`_CHUNK_BYTES`, and each item gets only the work
+its grid needs.  An item whose DP has two columns takes its optimum
+``max_s gain(0, s) + gain(s, k)`` in ``O(K)``; a longer one builds the
+``(k+1, k+1)`` partial-entropy gain matrix (gathered from a precomputed
+``m * log(m)`` table, no transcendental calls in the hot loop) and reads
+the DP's last step at ``t = k`` only.  Shorter items are padded: padded
+boundaries repeat ``n`` (their cells hold no points, so they are
+``-inf``), so every item's scores are bit-identical to scoring it alone.
+Per item, only the superclump walk runs, and only when an item has more
+clumps than its ``k_hat``.  Scalar :func:`mic` is the same kernel on a
+two-column window; :func:`repro.stats.micfast.mic_matrix_fast` runs it,
+serially, over a whole association matrix.
 """
 
 from __future__ import annotations
@@ -93,66 +95,85 @@ def _nlogn_table(n: int) -> np.ndarray:
     return table
 
 
-def _equipartition(values: np.ndarray, num_bins: int) -> np.ndarray:
-    """Assign sorted values to ``num_bins`` bins of near-equal size.
+def _int_dtype(bound: int) -> np.dtype:
+    """Narrowest signed integer dtype that holds ``-bound .. bound``."""
+    return np.min_scalar_type(-(bound + 1))
+
+
+def _tie_structure(sorted_values: np.ndarray) -> list[int]:
+    """Tie groups of a sorted column: each group's start, then ``n``.
+
+    Consecutive entries delimit one group of equal values, so the list
+    has one entry more than the column has distinct values.
+    """
+    n = sorted_values.size
+    starts = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
+    return [0, *starts.tolist(), n]
+
+
+def _equipartition(bounds: list[int], num_bins: int) -> np.ndarray:
+    """Assign a sorted column's positions to ``num_bins`` near-equal bins.
 
     Tied values always land in the same bin (Reshef's EquipartitionYAxis),
     so the realised number of bins can be smaller than requested when the
-    data is heavily tied.
+    data is heavily tied.  The walk steps over whole tie groups, as
+    Python ints, and stops once the last bin is open.
 
     Args:
-        values: values sorted ascending.
+        bounds: the column's tie groups (:func:`_tie_structure`).
         num_bins: desired number of bins.
 
     Returns:
-        Integer bin index per position (non-decreasing).
+        Bin index per position (non-decreasing), in the narrowest signed
+        dtype that holds ``num_bins``.
     """
-    n = values.size
-    assign = np.empty(n, dtype=np.int64)
+    n = bounds[-1]
+    edges = [0]  # first position of each bin
     current_bin = 0
     placed = 0
     bin_size = 0
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and values[j] == values[i]:
-            j += 1
-        run = j - i
-        remaining_bins = num_bins - current_bin
+    for lo, hi in zip(bounds, bounds[1:]):
+        if current_bin >= num_bins - 1:
+            break  # every remaining group lands in the last bin
+        run = hi - lo
         # Ideal size for the bin being filled: points not yet committed to a
         # closed bin, spread over the bins still available.
-        target = (n - placed) / remaining_bins if remaining_bins else n
-        if (
-            bin_size > 0
-            and current_bin < num_bins - 1
-            and abs(bin_size + run - target) >= abs(bin_size - target)
+        target = (n - placed) / (num_bins - current_bin)
+        if bin_size > 0 and abs(bin_size + run - target) >= abs(
+            bin_size - target
         ):
             current_bin += 1
             placed += bin_size
             bin_size = 0
-        assign[i:j] = current_bin
+            edges.append(lo)
         bin_size += run
-        i = j
+    edges.append(n)
+    assign = np.empty(n, dtype=_int_dtype(num_bins))
+    for label, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        assign[lo:hi] = label
     return assign
 
 
-def _tie_structure(
-    sorted_values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tie groups of a sorted column, as per-position arrays.
+def _tie_spans(bounds: list[int]) -> np.ndarray:
+    """``(2, g)`` first and last position of each tie group of two or more."""
+    spans = [
+        (lo, hi - 1) for lo, hi in zip(bounds, bounds[1:]) if hi - lo > 1
+    ]
+    return np.array(spans, dtype=np.intp).reshape(-1, 2).T
 
-    Returns ``(tied, first, last)``: ``tied[p]`` says position ``p``
-    repeats the value before it, and ``first[p]`` / ``last[p]`` are the
-    first and last positions of ``p``'s group of equal values.
+
+def _expand(
+    first: np.ndarray, count: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged ranges ``first[i] .. first[i] + count[i] - 1``, concatenated.
+
+    Returns ``(owner, index)``: ``index`` lists every range in order and
+    ``owner`` names the ``i`` each entry came from.
     """
-    n = sorted_values.size
-    tied = np.zeros(n, dtype=bool)
-    np.equal(sorted_values[1:], sorted_values[:-1], out=tied[1:])
-    starts = np.flatnonzero(~tied)
-    sizes = np.diff(np.append(starts, n))
-    first = np.repeat(starts, sizes)
-    last = np.repeat(starts + sizes - 1, sizes)
-    return tied, first, last
+    owner = np.repeat(np.arange(count.size), count)
+    offset = first - (np.cumsum(count) - count)
+    index = np.arange(owner.size) + np.repeat(offset, count)
+    return owner, index
 
 
 def _superclumps(boundaries: np.ndarray, n: int, k_hat: int) -> np.ndarray:
@@ -189,9 +210,9 @@ def _superclumps(boundaries: np.ndarray, n: int, k_hat: int) -> np.ndarray:
 
 def _batch_boundaries(
     q_x: np.ndarray,
-    tied: np.ndarray,
-    first: np.ndarray,
-    last: np.ndarray,
+    tie_item: np.ndarray,
+    tie_lo: np.ndarray,
+    tie_hi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clump boundaries of a batch of items along their x axes.
 
@@ -201,38 +222,39 @@ def _batch_boundaries(
 
     Args:
         q_x: ``(c, n)`` row index of each point, in each item's x order.
-        tied, first, last: ``(c, n)`` tie structure of each item's x
-            column (:func:`_tie_structure`).
+        tie_item, tie_lo, tie_hi: the tie groups of two or more points
+            along the items' x axes: group ``j`` covers positions
+            ``tie_lo[j] .. tie_hi[j]`` of item ``tie_item[j]``
+            (:func:`_tie_spans` of each item's x column).
 
     Returns:
         ``(bnd, k)``: ``bnd[i, :k[i] + 1]`` are item ``i``'s boundaries
         (cumulative point counts, ``0`` first and ``n`` last) and the rest
-        of the row repeats ``n``.
+        of the row repeats ``n``.  ``bnd`` has the narrowest signed dtype
+        that holds ``n``.
     """
     c, n = q_x.shape
     cut = np.empty((c, n + 1), dtype=bool)
     cut[:, 0] = True
     cut[:, n] = True
-    inner = cut[:, 1:n]
-    np.not_equal(q_x[:, 1:], q_x[:, :-1], out=inner)
-    # A group is mixed when some row change falls inside it; count the
-    # changes seen so far and compare the count across the group.
-    seen = np.zeros((c, n), dtype=np.intp)
-    np.cumsum(inner & tied[:, 1:], axis=1, out=seen[:, 1:])
-    mixed = np.take_along_axis(seen, last, axis=1) > np.take_along_axis(
-        seen, first, axis=1
-    )
-    inner |= mixed[:, :-1]
-    inner |= mixed[:, 1:]
-    inner &= ~tied[:, 1:]
-    per_item = cut.sum(axis=1)
-    items, positions = np.nonzero(cut)
-    rank = np.arange(items.size) - np.repeat(
-        np.cumsum(per_item) - per_item, per_item
-    )
-    bnd = np.full((c, int(per_item.max())), n, dtype=np.intp)
-    bnd[items, rank] = positions
-    return bnd, per_item - 1
+    np.not_equal(q_x[:, 1:], q_x[:, :-1], out=cut[:, 1:n])
+    if tie_item.size:
+        # Nothing cuts inside a tie group.  A group with a row change
+        # inside it is mixed: cut it from both neighbours.
+        group, pos = _expand(tie_lo + 1, tie_hi - tie_lo)
+        inside = tie_item[group]
+        mixed = np.zeros(tie_item.size, dtype=bool)
+        mixed[group[cut[inside, pos]]] = True
+        cut[inside, pos] = False
+        cut[tie_item[mixed], tie_lo[mixed]] = True
+        cut[tie_item[mixed], tie_hi[mixed] + 1] = True
+    k = cut.sum(axis=1) - 1
+    # Cut positions in order, then n: sorting puts each row's boundaries
+    # first and its padding after them.
+    index = _int_dtype(n)
+    bnd = np.where(cut, np.arange(n + 1, dtype=index), index.type(n))
+    bnd.sort(axis=1)
+    return bnd[:, : int(k.max()) + 1], k
 
 
 def _batch_cum_counts(
@@ -248,9 +270,11 @@ def _batch_cum_counts(
     k_max = bnd.shape[1] - 1
     starts = np.zeros((c, n + 1), dtype=bool)
     starts[np.arange(c)[:, None], bnd[:, :-1]] = True
-    clump = np.cumsum(starts[:, :n], axis=1)
-    clump -= 1
-    flat = (np.arange(c)[:, None] * k_max + clump) * rows + q_x
+    # The bin of each point, (item * k_max + clump) * rows + row, in place.
+    flat = np.cumsum(starts[:, :n], axis=1)
+    flat += (np.arange(c) * k_max - 1)[:, None]
+    flat *= rows
+    flat += q_x
     counts = np.bincount(flat.ravel(), minlength=c * k_max * rows)
     cum = np.zeros((c, rows, k_max + 1), dtype=np.intp)
     np.cumsum(
@@ -262,13 +286,14 @@ def _batch_cum_counts(
 
 
 class _Scratch:
-    """Grow-only flat buffers that each chunk carves its matrices from.
+    """Grow-only flat buffers that each gain-matrix chunk carves from.
 
     A chunk of ``c`` items with ``w = K + 1`` boundaries needs two float
     matrices, one index matrix and one mask, all ``(c, w, w)``: that is
     :data:`_CELL_BYTES` per cell.  The buffers grow to a window's largest
     chunk and every chunk reuses them, so the chunk budget bounds the
-    kernel's scratch memory.
+    kernel's scratch memory.  Two-column chunks build no matrix and
+    allocate their ``(c, w)`` lines as they go.
     """
 
     __slots__ = ("cells", "f0", "f1", "i0", "b0")
@@ -302,19 +327,22 @@ class _Scratch:
 #: Scratch bytes per ``(c, w, w)`` cell: two float64, one index, one mask.
 _CELL_BYTES = 8 + 8 + np.dtype(np.intp).itemsize + 1
 
-#: Byte budget of one chunk's scratch matrices.  A thread that has scored
-#: a window keeps its peak (this budget plus a boundary pass of about the
-#: same size) in its malloc arena.  A server diagnoses on the handler
-#: thread of the connection that completed the window, so it pays this
-#: once per live connection.  At 30 samples a chunk still holds 5-20
-#: items.
+#: Byte budget of one chunk: its gain matrices, or the count tables and
+#: lines of a two-column chunk (:func:`_item_bytes`).  A thread that has
+#: scored a window keeps its peak (this budget plus a boundary pass of
+#: about the same size) in its malloc arena.  A server diagnoses on the
+#: handler thread of the connection that completed the window, so it pays
+#: this once per live connection.  On a 30x26 telemetry window a
+#: gain-matrix chunk holds 9-58 items and a two-column chunk 50-82.
 _CHUNK_BYTES = 1 << 17
 
 #: Budget divisor of the clump-boundary pass: a pass takes
-#: ``_CHUNK_BYTES // (_POINT_BYTES * n)`` items.  Its ``(c, n)`` arrays use
-#: about 60 bytes per point, so a pass stays near the chunk budget while
-#: holding enough items for the clump-count sort to pay off.
-_POINT_BYTES = 64
+#: ``_CHUNK_BYTES // (_POINT_BYTES * n)`` items.  Its largest array is the
+#: ``(c, n)`` index gather that builds ``q_x`` (8 bytes per point); the
+#: rows, cut flags and boundaries it keeps take 1-2 bytes per point each,
+#: and tie groups are expanded per group, not per point.  At 30 samples a
+#: pass holds 546 items.
+_POINT_BYTES = 8
 
 
 def _batch_entropy_gains(
@@ -392,49 +420,85 @@ def _batch_optimize_axis(
     g = gains[:, 0, :].copy()  # l = 1: single column over clumps 1..t
     out[:, 1] = g[items, k]
     work = scratch.views(c, w)[1]
-    for l in range(2, cols + 1):
+    for l in range(2, cols):
         # g[i, t] = max_s g[i, s] + gains[i, s, t]
         np.add(g[:, :, None], gains, out=work)
         work.max(axis=1, out=g)
         out[:, l] = g[items, k]
+    if cols >= 2:
+        # The last step is read at t = k only: one column of gains.
+        g += gains[items, :, k]
+        out[:, cols] = g.max(axis=1)
     out[np.arange(cols + 1)[None, :] > limit[:, None]] = -np.inf
     return out
+
+
+def _batch_two_column_optimum(
+    bnd: np.ndarray, cum: np.ndarray, nlogn: np.ndarray
+) -> np.ndarray:
+    """Maximal ``-n * H(Q|P)`` of each item over exactly two columns.
+
+    ``G[2] = max_s gain(0, s) + gain(s, k)``: the DP's second step read
+    at ``t = k``, in ``O(K)`` per item and without the gain matrix.  Both
+    gains sum as in :func:`_batch_entropy_gains` (``-nlogn[total]``, then
+    the rows in order), so the optimum equals the DP's bit for bit.
+    ``gain(s, k)`` reads the last boundary and counts of each row, which
+    padding holds at ``n`` and the row totals.
+
+    Args:
+        bnd: ``(c, K+1)`` boundaries (:func:`_batch_boundaries`).
+        cum: ``(c, rows, K+1)`` cumulative counts
+            (:func:`_batch_cum_counts`).
+        nlogn: the ``m * log(m)`` table of the sample count.
+
+    Returns:
+        ``(c,)`` optimum of each item, ``-inf`` for one with ``k < 2``.
+    """
+    n = nlogn.size - 1
+    left = np.take(nlogn, bnd)
+    np.negative(left, out=left)
+    right = np.take(nlogn, n - bnd)
+    np.negative(right, out=right)
+    for r in range(cum.shape[1]):
+        row_counts = cum[:, r, :]
+        left += np.take(nlogn, row_counts)
+        right += np.take(nlogn, row_counts[:, -1:] - row_counts)
+    left += right
+    # A split at s = 0 or at s >= k leaves a column without points.
+    left[(bnd == 0) | (bnd == n)] = -np.inf
+    return left.max(axis=1)
 
 
 class ColumnPrep:
     """Pair-independent precompute of one metric column.
 
     Everything MIC needs from a column alone: its stable argsort order,
-    the tie structure of the sorted values (clump construction), and the
-    *plan* — the family of y-axis equipartitions, one entry per distinct
-    ``(row assignment, column budget)`` the grid-budget sweep produces.
-    Entries whose assignment and budget duplicate an earlier row count
-    are dropped: the downstream computation would be bit-identical, so
-    deduplication is a pure speedup.
+    its tie groups (clump construction), and the *plan* — the family of
+    y-axis equipartitions, one entry per distinct ``(row assignment,
+    column budget)`` the grid-budget sweep produces.  Entries whose
+    assignment and budget duplicate an earlier row count are dropped:
+    the downstream computation would be bit-identical, so deduplication
+    is a pure speedup.
 
     Attributes:
         order: stable argsort of the column.
-        tied, first, last: tie structure in sorted order
-            (:func:`_tie_structure`).
+        spans: ``(2, g)`` first and last sorted position of each tie
+            group of two or more points (:func:`_tie_spans`).
         plan: list of ``(max_cols, q, realised_rows, h_q)`` with ``q`` the
             row assignment in original index order and ``h_q`` its entropy
             ``H(Q)`` in nats.
     """
 
-    __slots__ = ("order", "tied", "first", "last", "plan")
+    __slots__ = ("order", "spans", "plan")
 
     def __init__(
         self,
         order: np.ndarray,
-        tied: np.ndarray,
-        first: np.ndarray,
-        last: np.ndarray,
+        spans: np.ndarray,
         plan: list[tuple[int, np.ndarray, int, float]],
     ) -> None:
         self.order = order
-        self.tied = tied
-        self.first = first
-        self.last = last
+        self.spans = spans
         self.plan = plan
 
 
@@ -451,13 +515,15 @@ def prepare_column(
         params: optional tuning constants.
 
     Returns:
-        The column's :class:`ColumnPrep`.
+        The column's :class:`ColumnPrep`.  Every ``q`` of its plan has the
+        narrowest signed dtype that holds ``budget``.
     """
     params = params or _DEFAULT_PARAMS
     vals = np.ascontiguousarray(values, dtype=float)
     n = vals.size
     order = np.argsort(vals, kind="stable")
-    svals = vals[order]
+    bounds = _tie_structure(vals[order])
+    row_dtype = _int_dtype(budget)
     plan: list[tuple[int, np.ndarray, int, float]] = []
     seen: set[tuple[bytes, int]] = set()
     max_rows = budget // 2
@@ -465,22 +531,23 @@ def prepare_column(
         max_cols = budget // rows
         if max_cols < 2:
             break
-        q_sorted = _equipartition(svals, rows)
+        q_sorted = _equipartition(bounds, rows)
         realised_rows = int(q_sorted[-1]) + 1
         if realised_rows < 2:
             continue  # too many ties to form two rows
-        key = (q_sorted.tobytes(), max_cols)
+        q = np.empty(n, dtype=row_dtype)
+        q[order] = q_sorted
+        key = (q.tobytes(), max_cols)
         if key in seen:
             continue
         seen.add(key)
-        q = np.empty(n, dtype=np.int64)
-        q[order] = q_sorted
         # H(Q) over all points, in nats: it depends on this plan entry
         # only, never on the x column it is paired with.
-        probs = np.bincount(q_sorted).astype(float) / n
-        h_q = -float(np.sum(probs[probs > 0] * np.log(probs[probs > 0])))
+        # Every bin up to the last realised one holds a point.
+        probs = np.bincount(q_sorted) / n
+        h_q = -float(np.sum(probs * np.log(probs)))
         plan.append((max_cols, q, realised_rows, h_q))
-    return ColumnPrep(order, *_tie_structure(svals), plan)
+    return ColumnPrep(order, _tie_spans(bounds), plan)
 
 
 def _log_table(size: int) -> np.ndarray:
@@ -488,11 +555,26 @@ def _log_table(size: int) -> np.ndarray:
     return np.array([0.0, 0.0] + [np.log(v) for v in range(2, size)])
 
 
+def _item_bytes(n: int, width: int, rows: int, steps: int) -> int:
+    """Bytes one item of a chunk holds while the chunk is scored.
+
+    An item of three or more DP steps holds ``width ** 2`` gain cells of
+    :data:`_CELL_BYTES`.  A two-column item holds, per point, a clump
+    start flag and a count bin (9 bytes, :func:`_batch_cum_counts`); per
+    boundary and row, a count and a cumulative count (16 bytes); and per
+    boundary, two float lines, an index line and a mask (25 bytes).
+    """
+    if steps > 2:
+        return _CELL_BYTES * width * width
+    return 9 * n + (16 * rows + 25) * width
+
+
 def _chunk_scores(
     q_x: np.ndarray,
     bnd: np.ndarray,
     k: np.ndarray,
     max_cols: np.ndarray,
+    steps: int,
     rows: int,
     h_q: np.ndarray,
     nlogn: np.ndarray,
@@ -501,12 +583,17 @@ def _chunk_scores(
 ) -> np.ndarray:
     """Best normalised score of each item of one chunk.
 
-    All items of a chunk share their realised row count ``rows``.
+    All items of a chunk share their DP length ``steps`` and realised row
+    count ``rows``.  Two-column items take the ``O(K)`` optimum; longer
+    ones the gain matrices and the DP.
     """
     n = q_x.shape[1]
     cum = _batch_cum_counts(q_x, bnd, rows)
-    gains = _batch_entropy_gains(bnd, cum, nlogn, scratch)
-    g = _batch_optimize_axis(gains, k, max_cols, scratch)[:, 2:]
+    if steps == 2:
+        g = _batch_two_column_optimum(bnd, cum, nlogn)[:, None]
+    else:
+        gains = _batch_entropy_gains(bnd, cum, nlogn, scratch)
+        g = _batch_optimize_axis(gains, k, max_cols, scratch)[:, 2:]
     # Normalise by the *realised* grid: ties can collapse the requested
     # rows, and log(min(cols, rows)) must describe the grid actually
     # scored.
@@ -524,10 +611,11 @@ def _mic_pairs(
 
     One *item* is an ordered pair ``(x, y)`` together with one entry of
     ``y``'s plan; a pair's MIC is the best normalised score over the items
-    of both its orientations.  Items are scored in chunks whose scratch
-    fits :data:`_CHUNK_BYTES`, every step an array operation over the
-    chunk.  Only the superclump walk runs per item, and only for items
-    with more clumps than their ``k_hat``.
+    of both its orientations.  Items are scored in chunks whose arrays
+    fit :data:`_CHUNK_BYTES`, every step an array operation over the
+    chunk: two-column items in ``O(K)`` each, longer ones through their
+    gain matrices.  Only the superclump walk runs per item, and only for
+    items with more clumps than their ``k_hat``.
 
     Args:
         data: ``(n, m)`` window.  Every column named in ``pairs`` must be
@@ -549,9 +637,9 @@ def _mic_pairs(
 
     # Per-column and per-plan-entry tables, indexed by item.
     order = np.stack([p.order for p in preps])
-    tied = np.stack([p.tied for p in preps])
-    first = np.stack([p.first for p in preps])
-    last = np.stack([p.last for p in preps])
+    span_count = np.array([p.spans.shape[1] for p in preps], dtype=np.intp)
+    span_first = np.cumsum(span_count) - span_count
+    spans = np.concatenate([p.spans for p in preps], axis=1)
     entries = [entry for p in preps for entry in p.plan]
     q_all = np.stack([entry[1] for entry in entries])
     e_cols = np.array([entry[0] for entry in entries], dtype=np.intp)
@@ -567,11 +655,8 @@ def _mic_pairs(
     xs = np.concatenate((pair_x, pair_y))
     ys = np.concatenate((pair_y, pair_x))
     owner = np.tile(np.arange(len(pairs)), 2)
-    counts = per_col[ys]
-    item_x = np.repeat(xs, counts)
-    item_pair = np.repeat(owner, counts)
-    item_e = np.repeat(col_start[ys] - (np.cumsum(counts) - counts), counts)
-    item_e += np.arange(item_e.size)
+    oriented, item_e = _expand(col_start[ys], per_col[ys])
+    item_x, item_pair = xs[oriented], owner[oriented]
     # Group items by DP length and row count, both fixed by the plan
     # entry, so the chunks cut from a pass are rarely split by group.
     group = np.lexsort((e_rows[item_e], e_cols[item_e]))
@@ -581,15 +666,16 @@ def _mic_pairs(
     logs = _log_table(max(int(e_cols.max()), int(e_rows.max())) + 1)
     scratch = _Scratch()
     # Clump boundaries for a pass of items at a time (their (c, n) arrays
-    # fit the budget).  Then gain matrices and DP for chunks of items that
-    # share a DP length and row count, widest first: a chunk pads each
-    # item only up to its own widest, and runs only its own DP steps.
+    # fit the budget).  Then scores for chunks of items that share a DP
+    # length and row count, widest first: a chunk pads each item only up
+    # to its own widest, and runs only its own DP steps.
     per_pass = max(1, _CHUNK_BYTES // (_POINT_BYTES * n))
     for start in range(0, item_e.size, per_pass):
         ix = item_x[start : start + per_pass]
         ie = item_e[start : start + per_pass]
         q_x = q_all[ie[:, None], order[ix]]
-        bnd, k = _batch_boundaries(q_x, tied[ix], first[ix], last[ix])
+        tie_item, span = _expand(span_first[ix], span_count[ix])
+        bnd, k = _batch_boundaries(q_x, tie_item, *spans[:, span])
         khat = e_khat[ie]
         for i in np.flatnonzero(k > khat):
             coarse = _superclumps(bnd[i, : k[i] + 1], n, int(khat[i]))
@@ -608,16 +694,17 @@ def _mic_pairs(
             (np.diff(steps[by]) != 0) | (np.diff(rows[by]) != 0)
         )
         for run in np.split(by, runs + 1):
+            run_steps, run_rows = int(steps[run[0]]), int(rows[run[0]])
             pos = 0
             while pos < run.size:
                 width = int(k[run[pos]]) + 1
-                size = max(1, _CHUNK_BYTES // (_CELL_BYTES * width * width))
-                sel = run[pos : pos + size]
-                pos += size
+                held = _item_bytes(n, width, run_rows, run_steps)
+                sel = run[pos : pos + max(1, _CHUNK_BYTES // held)]
+                pos += sel.size
                 e = ie[sel]
                 scores = _chunk_scores(
                     q_x[sel], bnd[sel, :width], k[sel], e_cols[e],
-                    int(rows[sel[0]]), e_hq[e], nlogn, logs, scratch,
+                    run_steps, run_rows, e_hq[e], nlogn, logs, scratch,
                 )
                 np.maximum.at(best, item_pair[start + sel], scores)
     return np.minimum(best, 1.0)
@@ -653,7 +740,7 @@ def mic(
     n = xa.size
     if n < 4:
         return 0.0
-    # repro: disable=float-equality — exact zero range is the degenerate case
-    if np.ptp(xa) == 0.0 or np.ptp(ya) == 0.0:
+    # A finite sample's range is never negative: "not > 0" means constant.
+    if not (np.ptp(xa) > 0 and np.ptp(ya) > 0):
         return 0.0
     return float(_mic_pairs(np.column_stack((xa, ya)), [(0, 1)], params)[0])

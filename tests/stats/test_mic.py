@@ -177,24 +177,23 @@ def _half_characteristic_requested_keying(x, y, budget, params):
     n = x.size
     order_x = np.argsort(x, kind="stable")
     order_y = np.argsort(y, kind="stable")
-    tied, first, last = (
-        a[None, :] for a in _MIC_MOD._tie_structure(x[order_x])
-    )
-    y_sorted = y[order_y]
+    lo, hi = _MIC_MOD._tie_spans(_MIC_MOD._tie_structure(x[order_x]))
+    ties = (np.zeros(lo.size, dtype=np.intp), lo, hi)
+    y_groups = _MIC_MOD._tie_structure(y[order_y])
     nlogn = _MIC_MOD._nlogn_table(n)
     entries = {}
     for rows in range(2, budget // 2 + 1):
         max_cols = budget // rows
         if max_cols < 2:
             break
-        q_sorted = _MIC_MOD._equipartition(y_sorted, rows)
+        q_sorted = _MIC_MOD._equipartition(y_groups, rows)
         realised = int(q_sorted[-1]) + 1
         if realised < 2:
             continue
         q = np.empty(n, dtype=np.int64)
         q[order_y] = q_sorted
         q_x = q[order_x][None, :]
-        bnd, k = _MIC_MOD._batch_boundaries(q_x, tied, first, last)
+        bnd, k = _MIC_MOD._batch_boundaries(q_x, *ties)
         k_hat = max(params.clumps_factor * max_cols, 2)
         bnd = _MIC_MOD._superclumps(bnd[0, : k[0] + 1], n, k_hat)[None, :]
         k = np.array([bnd.shape[1] - 1])

@@ -5,7 +5,10 @@ bin balancing under ties, clump atomicity for repeated x values, the
 superclump coarsening bound and the dynamic programme's optimality on
 small cases that can be brute-forced.  The clump and DP kernels are
 batched; single-item cases go through them as a batch of one, and the
-padding rules are checked by scoring items together and alone.
+padding rules are checked by scoring items together and alone.  The
+shortcuts that skip DP work (two-column items, the last step read at
+t = k) are checked bit for bit against the full DP, and their effect on
+a pipeline-shaped window is counted.
 """
 
 import importlib
@@ -13,18 +16,36 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.stats import _mic_reference
+from repro.stats.micfast import mic_matrix_fast
 
 _mic = importlib.import_module("repro.stats.mic")
 
 
+def _spans(x_sorted, items=1):
+    """Tie groups of one sorted x column, repeated for ``items`` items,
+    as the ``(tie_item, tie_lo, tie_hi)`` arguments of the clump pass."""
+    lo, hi = _mic._tie_spans(_mic._tie_structure(np.asarray(x_sorted, float)))
+    return (
+        np.repeat(np.arange(items), lo.size), np.tile(lo, items),
+        np.tile(hi, items),
+    )
+
+
 def _clumps(x_sorted, q_by_xorder):
     """Clump boundaries of one item through the batched kernel."""
-    tied, first, last = _mic._tie_structure(np.asarray(x_sorted, float))
     bnd, k = _mic._batch_boundaries(
-        np.asarray(q_by_xorder, dtype=np.int64)[None, :],
-        tied[None, :], first[None, :], last[None, :],
+        np.asarray(q_by_xorder, dtype=np.int64)[None, :], *_spans(x_sorted)
     )
     return bnd[0, : k[0] + 1]
+
+
+def _equipartition(values, num_bins):
+    """Equipartition of sorted values through their tie groups."""
+    return _mic._equipartition(_mic._tie_structure(values), num_bins)
 
 
 def _optimize_axis(cum, n, max_cols):
@@ -47,34 +68,52 @@ def _optimize_axis(cum, n, max_cols):
 class TestEquipartition:
     def test_balanced_without_ties(self):
         values = np.arange(12, dtype=float)
-        assign = _mic._equipartition(values, 3)
+        assign = _equipartition(values, 3)
         counts = np.bincount(assign)
         assert list(counts) == [4, 4, 4]
 
     def test_near_balanced_odd_sizes(self):
         values = np.arange(10, dtype=float)
-        assign = _mic._equipartition(values, 3)
+        assign = _equipartition(values, 3)
         counts = np.bincount(assign)
         assert counts.sum() == 10
         assert max(counts) - min(counts) <= 1
 
     def test_ties_stay_together(self):
         values = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
-        assign = _mic._equipartition(values, 2)
+        assign = _equipartition(values, 2)
         assert len(set(assign[:4])) == 1  # the tie block is atomic
 
     def test_assignment_non_decreasing(self, rng):
         values = np.sort(rng.normal(size=50))
-        assign = _mic._equipartition(values, 5)
+        assign = _equipartition(values, 5)
         assert np.all(np.diff(assign) >= 0)
 
     def test_two_point_split(self):
-        assign = _mic._equipartition(np.array([1.0, 2.0]), 2)
+        assign = _equipartition(np.array([1.0, 2.0]), 2)
         assert list(assign) == [0, 1]
 
     def test_all_tied_single_bin(self):
-        assign = _mic._equipartition(np.zeros(8), 3)
+        assign = _equipartition(np.zeros(8), 3)
         assert len(set(assign)) == 1
+
+    @given(
+        draws=st.lists(st.integers(0, 1000), min_size=1, max_size=80),
+        levels=st.sampled_from([None, 2, 3, 7]),
+        num_bins=st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_frozen_reference(self, draws, levels, num_bins):
+        """The tie-group walk assigns every position as the frozen
+        per-position walk does, on untied and tied sorted data."""
+        values = np.asarray(draws, dtype=float)
+        if levels is not None:
+            values = np.floor(values * levels / 1001.0)  # a few tied levels
+        values = np.sort(values)
+        assert np.array_equal(
+            _equipartition(values, num_bins),
+            _mic_reference._equipartition(values, num_bins),
+        )
 
 
 class TestClumps:
@@ -191,12 +230,9 @@ class TestBatchPadding:
     def test_batched_dp_equals_single_items(self, rng):
         n = 24
         x, q_x = self._items(rng, n, [2, 3, 2, 4])
-        tied, first, last = _mic._tie_structure(x)
         batch = np.stack(q_x)
         c = batch.shape[0]
-        bnd, k = _mic._batch_boundaries(
-            batch, *(np.broadcast_to(a, (c, n)) for a in (tied, first, last))
-        )
+        bnd, k = _mic._batch_boundaries(batch, *_spans(x, c))
         nlogn = _mic._nlogn_table(n)
         scratch = _mic._Scratch()
         cum = _mic._batch_cum_counts(batch, bnd, 4)
@@ -205,9 +241,7 @@ class TestBatchPadding:
         together = _mic._batch_optimize_axis(gains, k, max_cols, scratch)
         for i, q in enumerate(q_x):
             rows = int(q.max()) + 1
-            b1, k1 = _mic._batch_boundaries(
-                q[None], tied[None], first[None], last[None]
-            )
+            b1, k1 = _mic._batch_boundaries(q[None], *_spans(x))
             assert np.array_equal(b1[0], bnd[i, : k[i] + 1])
             one = _mic._Scratch()
             c1 = _mic._batch_cum_counts(q[None], b1, rows)
@@ -223,9 +257,7 @@ class TestBatchPadding:
             np.repeat([0, 1], 10),  # two clumps
             rng.integers(0, 2, n),  # many clumps
         ]).astype(np.int64)
-        untied = np.zeros_like(q_x, dtype=bool)
-        positions = np.broadcast_to(np.arange(n), q_x.shape)
-        bnd, k = _mic._batch_boundaries(q_x, untied, positions, positions)
+        bnd, k = _mic._batch_boundaries(q_x, *_spans(np.arange(n)))
         assert k[0] == 2 and k[1] > 2
         assert np.all(bnd[0, 3:] == n)
         cum = _mic._batch_cum_counts(q_x, bnd, 2)
@@ -234,3 +266,121 @@ class TestBatchPadding:
         )
         # Every cell between padded boundaries has no points.
         assert np.all(gains[0, 2:, 2:] == -np.inf)
+
+
+def _full_dp(gains, k, max_cols):
+    """The x-axis DP with every step over the whole ``(w, w)`` matrix."""
+    c = gains.shape[0]
+    items = np.arange(c)
+    limit = np.minimum(max_cols, k)
+    cols = int(limit.max())
+    out = np.full((c, cols + 1), -np.inf)
+    g = gains[:, 0, :].copy()
+    out[:, 1] = g[items, k]
+    for l in range(2, cols + 1):
+        g = (g[:, :, None] + gains).max(axis=1)
+        out[:, l] = g[items, k]
+    out[np.arange(cols + 1)[None, :] > limit[:, None]] = -np.inf
+    return out
+
+
+class TestDpShortcuts:
+    """The last DP step read at t = k only, and the two-column optimum
+    without a gain matrix, equal the full DP bit for bit on random
+    padded batches with mixed tie groups."""
+
+    def _batch(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 40))
+        rows = int(rng.integers(2, 5))
+        c = 9
+        x = np.sort(rng.normal(size=n))
+        for _ in range(3):  # tie groups, mixed in some items
+            lo = int(rng.integers(0, n - 1))
+            x[lo : lo + int(rng.integers(2, 5))] = x[lo]
+        x = np.sort(x)
+        q_x = rng.integers(0, rows, (c, n))
+        q_x[0] = np.sort(q_x[0])  # few clumps: heavy padding
+        q_x[1] = np.arange(n) % rows  # many clumps
+        bnd, k = _mic._batch_boundaries(q_x, *_spans(x, c))
+        cum = _mic._batch_cum_counts(q_x, bnd, rows)
+        return rng, n, bnd, k, cum
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_last_step_at_k_equals_full_dp(self, seed):
+        rng, n, bnd, k, cum = self._batch(seed)
+        scratch = _mic._Scratch()
+        nlogn = _mic._nlogn_table(n)
+        gains = _mic._batch_entropy_gains(bnd, cum, nlogn, scratch)
+        max_cols = rng.integers(2, 7, k.size)
+        expected = _full_dp(gains, k, max_cols)
+        got = _mic._batch_optimize_axis(gains, k, max_cols, scratch)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_column_optimum_equals_full_dp(self, seed):
+        _rng, n, bnd, k, cum = self._batch(seed)
+        nlogn = _mic._nlogn_table(n)
+        gains = _mic._batch_entropy_gains(bnd, cum, nlogn, _mic._Scratch())
+        expected = _full_dp(gains, k, np.full(k.size, 2))[:, 2]
+        got = _mic._batch_two_column_optimum(bnd, cum, nlogn)
+        assert np.array_equal(got, expected)
+        assert np.all(np.isfinite(got[k >= 2]))
+
+
+def _pipeline_window(n=30, m=26, seed=7):
+    """A telemetry-like window of the pipeline's shape: correlated metrics
+    plus a three-level categorical and a rounded column (the same
+    construction as ``_window`` in ``benchmarks/test_perf_mic_engine.py``).
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(n, max(4, m // 4)))
+    mix = rng.normal(size=(base.shape[1], m))
+    data = base @ mix + 0.3 * rng.normal(size=(n, m))
+    data[:, 5] = rng.choice([0.0, 1.0, 2.0], size=n, p=[0.7, 0.2, 0.1])
+    data[:, 11] = np.round(data[:, 11])
+    return data
+
+
+class TestPipelineWindowWork:
+    """Kernel work on one 30x26 association matrix.
+
+    Before two-column items skipped the gain matrix and passes held
+    narrower arrays, this window took 20 boundary passes and 482,907
+    gain-matrix cells, and every two-column chunk built a gain matrix.
+    """
+
+    PARENT_GAIN_CELLS = 482_907
+    PARENT_PASSES = 20
+
+    def test_two_column_items_build_no_gain_matrix(self, monkeypatch):
+        chunk_steps = []
+        gain_calls = []
+        passes = []
+        real_chunk = _mic._chunk_scores
+        real_gains = _mic._batch_entropy_gains
+        real_boundaries = _mic._batch_boundaries
+
+        def chunk_spy(q_x, bnd, k, max_cols, *rest):
+            chunk_steps.append(int(np.minimum(max_cols, k).max()))
+            return real_chunk(q_x, bnd, k, max_cols, *rest)
+
+        def gains_spy(bnd, *rest):
+            cells = bnd.shape[0] * bnd.shape[1] ** 2
+            gain_calls.append((chunk_steps[-1], cells))
+            return real_gains(bnd, *rest)
+
+        def boundaries_spy(*args):
+            passes.append(1)
+            return real_boundaries(*args)
+
+        monkeypatch.setattr(_mic, "_chunk_scores", chunk_spy)
+        monkeypatch.setattr(_mic, "_batch_entropy_gains", gains_spy)
+        monkeypatch.setattr(_mic, "_batch_boundaries", boundaries_spy)
+        mic_matrix_fast(_pipeline_window())
+
+        assert 2 in chunk_steps  # the window has two-column items
+        assert all(steps > 2 for steps, _cells in gain_calls)
+        cells = sum(cells for _steps, cells in gain_calls)
+        assert 0 < cells <= self.PARENT_GAIN_CELLS // 2
+        assert len(passes) < self.PARENT_PASSES
