@@ -856,7 +856,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 _LEDGER_DETAIL_FIELDS = (
     "runs", "invariants", "problem", "violated", "detected", "top_cause",
-    "top_score", "precision", "recall", "verdict", "faulty_nodes",
+    "top_score", "cause", "bundle", "precision", "recall", "verdict",
+    "faulty_nodes",
 )
 
 

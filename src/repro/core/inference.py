@@ -13,7 +13,9 @@ violated association pairs").
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from repro.core.signatures import (
 __all__ = [
     "RankedCause",
     "InferenceResult",
+    "read_ranking",
     "rank_causes",
     "CauseInferenceEngine",
 ]
@@ -102,11 +105,47 @@ class InferenceResult:
     observed: np.ndarray | None = None
 
     @property
+    def best(self) -> RankedCause | None:
+        """The best-ranked cause, matched or not; None when none ranked."""
+        return self.causes[0] if self.causes else None
+
+    @property
     def top_cause(self) -> str | None:
         """Most probable root cause, or None when nothing matched."""
-        if self.matched and self.causes:
-            return self.causes[0].problem
-        return None
+        return self.causes[0].problem if self.matched and self.causes else None
+
+    def to_dict(self) -> dict[str, Any]:
+        """The recorded form of this inference (:func:`read_ranking`
+        reads it back): causes as ``{problem, score}``, best first, the
+        matched flag, the violation tuple and the hints."""
+        return {
+            "causes": [
+                {"problem": c.problem, "score": float(c.score)}
+                for c in self.causes
+            ],
+            "matched": self.matched,
+            "violations": [bool(v) for v in self.violations],
+            "hints": [list(pair) for pair in self.hints],
+        }
+
+    def ledger_fields(self) -> dict[str, Any]:
+        """A ``diagnose`` ledger entry's fields: the matched flag and the
+        best-ranked cause, matched or not, with its score to 6 places."""
+        fields: dict[str, Any] = {"matched": self.matched}
+        best = self.best
+        if best is not None:
+            fields["top_cause"] = best.problem
+            fields["top_score"] = round(best.score, 6)
+        return fields
+
+
+def read_ranking(
+    record: Mapping[str, Any],
+) -> tuple[list[tuple[str, float]], bool]:
+    """The ``(problem, score)`` pairs, best first, and the matched flag
+    of a recorded inference (:meth:`InferenceResult.to_dict`)."""
+    ranking = [(c["problem"], c["score"]) for c in record["causes"]]
+    return ranking, record["matched"]
 
 
 def rank_causes(

@@ -43,6 +43,7 @@ import enum
 import logging
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -50,7 +51,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.context import OperationContext
-from repro.core.inference import InferenceResult
+from repro.core.inference import InferenceResult, read_ranking
 from repro.core.pipeline import ABNORMAL_WINDOW_TICKS, InvarNetX
 from repro.stats.arima import OneStepPredictor
 
@@ -61,6 +62,7 @@ __all__ = [
     "MonitorState",
     "AlarmEvent",
     "DiagnosisEvent",
+    "read_summary",
     "MalformedTick",
     "OnlineMonitor",
 ]
@@ -107,15 +109,38 @@ class DiagnosisEvent:
         """The top-ranked matched cause, or None."""
         return self.inference.top_cause
 
-    def summary(self) -> dict[str, Any]:
-        """Fields every record of the diagnosis carries (HTTP event,
-        ledger entry, bundle manifest)."""
+    def to_dict(self) -> dict[str, Any]:
+        """The one recorded form of this diagnosis: its ticks plus
+        :meth:`InferenceResult.to_dict`.  A bundle's ``report.json`` is
+        this record; every other record projects it (:meth:`summary`)."""
         return {
             "tick": self.tick,
             "alarm_tick": self.alarm_tick,
-            "cause": self.root_cause,
-            "matched": self.inference.matched,
+            **self.inference.to_dict(),
         }
+
+    def id_fields(self) -> dict[str, Any]:
+        """What an incident bundle's id fingerprints: the ticks and the
+        ranking as ``[problem, score]`` pairs, scores to 6 places."""
+        ranking, _ = read_ranking(self.to_dict())
+        return {
+            "tick": self.tick,
+            "alarm_tick": self.alarm_tick,
+            "causes": [[p, round(s, 6)] for p, s in ranking],
+        }
+
+    def summary(self) -> dict[str, Any]:
+        """The head of :meth:`to_dict` that the bundle manifest, the
+        ``fleet-diagnose`` ledger entry and the HTTP event carry: the
+        ticks, ``cause`` (the matched top cause, or None) and
+        ``matched``."""
+        return read_summary({**self.to_dict(), "cause": self.root_cause})
+
+
+def read_summary(record: Mapping[str, Any]) -> dict[str, Any]:
+    """The :meth:`DiagnosisEvent.summary` fields of any record of a
+    diagnosis (a bundle manifest, a ledger entry, an HTTP event)."""
+    return {k: record[k] for k in ("tick", "alarm_tick", "cause", "matched")}
 
 
 class MalformedTick(ValueError):

@@ -217,9 +217,9 @@ class ClusterDiagnoser:
                 result: DiagnosisResult = self.pipeline.diagnose_run(
                     ctx, run, top_k=top_k
                 )
-                top_score = 0.0
-                if result.inference is not None and result.inference.causes:
-                    top_score = result.inference.causes[0].score
+                inference = result.inference
+                best = inference.best if inference is not None else None
+                top_score = best.score if best is not None else 0.0
                 out.nodes.append(
                     NodeDiagnosis(
                         node_id=node_id,

@@ -761,12 +761,7 @@ class InvarNetX:
                 ),
             }
             if inference is not None:
-                fields["matched"] = inference.matched
-                if inference.causes:
-                    fields["top_cause"] = inference.causes[0].problem
-                    fields["top_score"] = round(
-                        inference.causes[0].score, 6
-                    )
+                fields.update(inference.ledger_fields())
             self._record("diagnose", context, span=sp, **fields)
         return result
 

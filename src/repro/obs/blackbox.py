@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.core.anomaly import ThresholdRule
 from repro.core.context import OperationContext
+from repro.core.inference import read_ranking
 from repro.core.online import DiagnosisEvent
 from repro.core.persistence import (
     MANIFEST_NAME,
@@ -300,12 +301,7 @@ def _bundle_id(
     maps to the identical id, so commits are idempotent)."""
     payload = {
         "context": list(key),
-        "alarm_tick": event.alarm_tick,
-        "tick": event.tick,
-        "causes": [
-            [c.problem, round(float(c.score), 6)]
-            for c in event.inference.causes
-        ],
+        **event.id_fields(),
         "window_sha256": _window_sha256(window),
     }
     return f"inc-{config_fingerprint(payload)}"
@@ -386,26 +382,14 @@ def commit_bundle(
         return IncidentBundle(path=bundle_dir, manifest=existing)
     begin_commit(bundle_dir)
 
-    inference = event.inference
     explanation = explain_inference(
-        pipeline, context, inference, request_id=request_id or None
+        pipeline, context, event.inference, request_id=request_id or None
     )
     texts = {
         "flight.json": canonical_json(snapshot.to_json()),
         "window.json": canonical_json({"window": window.tolist()}),
         "report.json": canonical_json(
-            {
-                "tick": event.tick,
-                "alarm_tick": event.alarm_tick,
-                "top_k": REPLAY_TOP_K,
-                "causes": [
-                    {"problem": c.problem, "score": float(c.score)}
-                    for c in inference.causes
-                ],
-                "matched": inference.matched,
-                "violations": [bool(v) for v in inference.violations],
-                "hints": [list(pair) for pair in inference.hints],
-            }
+            {**event.to_dict(), "top_k": REPLAY_TOP_K}
         ),
         "explain.txt": explanation.render_text(),
         "explain.json": canonical_json(explanation.to_json()),
@@ -471,9 +455,13 @@ def load_bundle(path: str | Path) -> IncidentBundle:
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
-def _score_text(score: float) -> str:
-    """The 4-decimal fixed-point form every report renders scores in."""
-    return f"{float(score):.4f}"
+def _ranking_text(
+    record: dict[str, Any],
+) -> tuple[list[tuple[str, str]], bool]:
+    """A recorded inference's ranking (:func:`read_ranking`) with each
+    score in the 4-decimal fixed-point form every report renders."""
+    ranking, matched = read_ranking(record)
+    return [(p, f"{float(s):.4f}") for p, s in ranking], bool(matched)
 
 
 @dataclass
@@ -638,29 +626,25 @@ def replay_bundle(path: str | Path, passes: int = 2) -> ReplayResult:
     if _window_sha256(window) != bundle.manifest.get("window_sha256"):
         result.mismatches.append("window bytes do not match the manifest")
 
-    recorded_causes = [
-        (c["problem"], _score_text(c["score"])) for c in report["causes"]
-    ]
+    recorded_causes, recorded_matched = _ranking_text(report)
     recorded_explain = bundle.explain_text()
 
     for _ in range(passes):
         inference = pipeline.infer(
             context, window, top_k=int(report.get("top_k", REPLAY_TOP_K))
         )
-        replayed = [
-            (c.problem, _score_text(c.score)) for c in inference.causes
-        ]
+        replayed, matched = _ranking_text(inference.to_dict())
         if replayed != recorded_causes:
             result.causes_match = False
             result.mismatches.append(
                 f"cause ranking diverged: recorded {recorded_causes}, "
                 f"replayed {replayed}"
             )
-        if bool(inference.matched) is not bool(report["matched"]):
+        if matched is not recorded_matched:
             result.causes_match = False
             result.mismatches.append(
-                f"matched flag diverged: recorded {report['matched']}, "
-                f"replayed {inference.matched}"
+                f"matched flag diverged: recorded {recorded_matched}, "
+                f"replayed {matched}"
             )
         explanation = explain_inference(
             pipeline,

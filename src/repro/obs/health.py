@@ -67,7 +67,7 @@ from typing import Any
 
 from repro.core.invariants import TAU
 from repro.core.signatures import matching_similarity
-from repro.obs.ledger import LEDGER_NAME, RunLedger
+from repro.obs.ledger import RunLedger
 from repro.store.base import ContextKey, ContextModels, ModelStore
 
 __all__ = [
@@ -592,11 +592,3 @@ def score_store(
             score_context(key, models, ledger, report.thresholds)
         )
     return report
-
-
-def ledger_for_registry(root: Any) -> RunLedger | None:
-    """The colocated ledger of a registry directory, if one exists."""
-    from pathlib import Path
-
-    path = Path(root) / LEDGER_NAME
-    return RunLedger(path) if path.exists() else None

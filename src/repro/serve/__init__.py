@@ -36,7 +36,6 @@ from repro.serve.incidents import (
     IncidentRecord,
     PlatformIncident,
     correlate,
-    records_from_fleet,
     scan_bundles,
     summarize,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "IncidentRecord",
     "PlatformIncident",
     "scan_bundles",
-    "records_from_fleet",
     "correlate",
     "summarize",
 ]

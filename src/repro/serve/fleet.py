@@ -496,14 +496,6 @@ class FleetMonitor:
             )
 
     # ------------------------------------------------------------------
-    def last_incident(
-        self, context: OperationContext
-    ) -> DiagnosisEvent | None:
-        """The most recent retained diagnosis of a context, or None."""
-        with self._incident_lock:
-            retained = self._incidents.get(context.key())
-        return retained.event if retained is not None else None
-
     def retained_incidents(
         self,
     ) -> list[tuple[ContextKey, RetainedIncident]]:

@@ -27,19 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
+from repro.core.online import read_summary
 from repro.core.persistence import committed_dirs
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.serve.fleet import FleetMonitor
 
 __all__ = [
     "DEFAULT_HORIZON",
     "IncidentRecord",
     "PlatformIncident",
     "scan_bundles",
-    "records_from_fleet",
     "classify",
     "correlate",
     "summarize",
@@ -58,8 +55,7 @@ class IncidentRecord:
     """One diagnosed incident, as the correlator sees it.
 
     Attributes:
-        bundle_id: the committed bundle id (or a synthetic ``mem-`` id
-            for ring-only incidents of a fleet without a blackbox).
+        bundle_id: the committed bundle id.
         workload: context workload.
         node: context node id.
         alarm_tick: tick the lane's alarm fired.
@@ -68,7 +64,10 @@ class IncidentRecord:
         matched: did the signature ranking clear the similarity floor?
         request_id: HTTP request id of the triggering batch ("" outside
             HTTP ingest).
-        path: the bundle directory, or None for ring-only records.
+        path: the bundle directory (None for a record built by hand).
+
+    ``tick``, ``alarm_tick``, ``cause`` and ``matched`` are the
+    manifest's :meth:`~repro.core.online.DiagnosisEvent.summary` head.
     """
 
     bundle_id: str
@@ -143,12 +142,9 @@ def _record_from_manifest(
         bundle_id=str(manifest["bundle_id"]),
         workload=str(context["workload"]),
         node=str(context["node_id"]),
-        alarm_tick=int(manifest["alarm_tick"]),
-        tick=int(manifest["tick"]),
-        cause=manifest.get("cause"),
-        matched=bool(manifest.get("matched", False)),
         request_id=str(manifest.get("request_id", "")),
         path=path,
+        **read_summary(manifest),
     )
 
 
@@ -162,29 +158,6 @@ def scan_bundles(root: str | Path) -> list[IncidentRecord]:
         _record_from_manifest(manifest, entry)
         for entry, manifest in committed_dirs(root)
     ]
-    return sorted(records, key=IncidentRecord.sort_key)
-
-
-def records_from_fleet(fleet: "FleetMonitor") -> list[IncidentRecord]:
-    """Incident records of a live fleet.
-
-    Prefers the durable bundles (they survive ring eviction); a fleet
-    running without a blackbox directory falls back to the in-memory
-    incident ring with synthetic ``mem-`` ids.
-    """
-    if fleet.blackbox_dir is not None:
-        return scan_bundles(fleet.blackbox_dir)
-    records = []
-    for key, retained in fleet.retained_incidents():
-        records.append(
-            IncidentRecord(
-                bundle_id=f"mem-{key[0]}@{key[1]}",
-                workload=key[0],
-                node=key[1],
-                request_id=retained.request_id,
-                **retained.event.summary(),
-            )
-        )
     return sorted(records, key=IncidentRecord.sort_key)
 
 

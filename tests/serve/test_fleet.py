@@ -297,9 +297,9 @@ class TestIncidentSink:
         _fleet_events(fleet, contexts, 30, _staggered_cpi)
         return fleet, contexts
 
-    def test_last_incident_retained_with_window(self):
+    def test_retained_incident_keeps_window(self):
         fleet, contexts = self._incident_fleet()
-        event = fleet.last_incident(contexts[0])
+        event = dict(fleet.retained_incidents())[contexts[0].key()].event
         assert isinstance(event, DiagnosisEvent)
         assert event.window is not None
         assert event.window.shape == (8, 4)

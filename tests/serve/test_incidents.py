@@ -28,7 +28,6 @@ from repro.serve.incidents import (
     IncidentRecord,
     classify,
     correlate,
-    records_from_fleet,
     render_incident_list,
     render_incident_show,
     scan_bundles,
@@ -223,36 +222,6 @@ class TestFleetCorrelation:
         incidents = correlate(scan_bundles(incidents_dir))
         assert len(incidents) == 1
         assert incidents[0].classification == "shared-node"
-
-    def test_records_from_fleet_prefers_bundles(self, tmp_path):
-        contexts = [
-            OperationContext("wordcount", f"node-{i}", ip=f"10.0.0.{i}")
-            for i in range(2)
-        ]
-        fleet = FleetMonitor(
-            incident_pipeline(contexts),
-            shards=2,
-            blackbox_dir=tmp_path / "incidents",
-            **MONITOR_KW,
-        )
-        drive_fault(fleet, contexts, {contexts[0].key()}, ticks=22)
-        records = records_from_fleet(fleet)
-        assert records
-        assert all(r.bundle_id.startswith("inc-") for r in records)
-        assert all(r.path is not None for r in records)
-
-    def test_records_from_fleet_ring_fallback(self):
-        contexts = [
-            OperationContext("wordcount", f"node-{i}") for i in range(2)
-        ]
-        fleet = FleetMonitor(
-            incident_pipeline(contexts), shards=2, **MONITOR_KW
-        )
-        drive_fault(fleet, contexts, {contexts[0].key()}, ticks=22)
-        records = records_from_fleet(fleet)
-        assert records
-        assert all(r.bundle_id.startswith("mem-") for r in records)
-        assert all(r.path is None for r in records)
 
 
 class TestConcurrentAlarms:

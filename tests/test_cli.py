@@ -344,6 +344,28 @@ class TestHealthAndLedger:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert rows and all("train" in r for r in rows)
 
+    def test_ledger_list_details_fleet_diagnoses(self, tmp_path, capsys):
+        """A ``fleet-diagnose`` entry lists its cause and its bundle."""
+        from repro.core import OperationContext
+        from repro.serve import FleetMonitor
+        from repro.store import DirectoryStore
+        from tests.obs.test_blackbox import drive_fault, incident_pipeline
+
+        context = OperationContext("wordcount", "node-0")
+        reg = tmp_path / "reg"
+        pipe = incident_pipeline([context], store=DirectoryStore(reg))
+        pipe.store.persist(context.key())
+        fleet = FleetMonitor(
+            pipe, shards=1, window_ticks=8, warmup_ticks=12,
+            cooldown_ticks=4, blackbox_dir=tmp_path / "incidents",
+        )
+        drive_fault(fleet, [context], {context.key()}, ticks=22)
+        (entry,) = pipe.ledger.entries(kind="fleet-diagnose")
+        code = main(["ledger", "list", str(reg), "--kind", "fleet-diagnose"])
+        assert code == 0
+        (row,) = capsys.readouterr().out.strip().splitlines()[1:]
+        assert row.endswith(f"cause=disk_hog bundle={entry['bundle']}")
+
     def test_ledger_show_latest_and_by_seq(self, registry, capsys):
         assert main(["ledger", "show", str(registry["reg"])]) == 0
         latest = json.loads(capsys.readouterr().out)
