@@ -11,7 +11,7 @@ Three contracts from DESIGN.md §10/§15:
 - **the blackbox honours both** — a fleet without a blackbox (no
   recorder on any lane) allocates zero bytes in blackbox frames while it
   ingests, and recording every tick into the bounded ring keeps
-  steady-state fleet ingest within noise of running without it;
+  steady-state fleet ingest within 1.15x of running without it;
 - **a steady lane tick stays lean with obs on** — the per-tick counters
   are written through series bound once per lane, so turning obs on
   costs the fleet tick little (``fleet_tick_enabled_vs_disabled``).
@@ -302,49 +302,61 @@ def steady_fleet(blackbox_dir=None):
 
 
 class TestBlackboxSteadyStateOverhead:
-    """Recording every tick into the flight ring must stay within noise
-    of running the fleet without a blackbox (no alarms fire, so no
-    bundle commits are in the measured path)."""
+    """Recording every tick into the flight ring must cost the fleet
+    little next to running it without a blackbox (no alarms fire, so no
+    bundle commits are in the measured path).
+
+    A recorded tick appends one tuple of its columns; its metric row is
+    already in the lane's row ring.  When each tick built a
+    ``TickRecord`` from ``tuple(row.tolist())`` under a lock this ratio
+    read 1.42x; :attr:`BUDGET` holds it at 1.15x.  Reps are interleaved
+    and each side takes its best, as in :class:`TestFleetTickOverhead`.
+    """
 
     CONTEXTS = STEADY_CONTEXTS
     TICKS = 150
+    REPS = 9
+    BUDGET = 1.15
 
-    def _median_ingest_seconds(
-        self, blackbox_dir=None, reps: int = 5
-    ) -> float:
+    def _ingest_seconds(self, blackbox_dir=None) -> float:
         from repro.serve import Tick
 
-        times = []
         row = np.array([0.3, 0.5, 0.2, 0.4])
-        for _ in range(reps):
-            fleet, contexts = steady_fleet(blackbox_dir)
-            batches = [
-                [Tick(context=c, metrics=row, cpi=1.0) for c in contexts]
-                for _ in range(self.TICKS)
-            ]
-            t0 = time.perf_counter()
-            for batch in batches:
-                fleet.ingest(batch)
-            times.append(time.perf_counter() - t0)
-        return statistics.median(times)
+        fleet, contexts = steady_fleet(blackbox_dir)
+        batches = [
+            [Tick(context=c, metrics=row, cpi=1.0) for c in contexts]
+            for _ in range(self.TICKS)
+        ]
+        t0 = time.perf_counter()
+        for batch in batches:
+            fleet.ingest(batch)
+        return time.perf_counter() - t0
 
-    def test_enabled_recorder_within_noise_of_disabled(
+    def test_enabled_recorder_within_budget_of_disabled(
         self, bench_record, tmp_path
     ):
-        disabled = self._median_ingest_seconds(None)
-        enabled = self._median_ingest_seconds(tmp_path / "incidents")
+        times: dict[bool, list[float]] = {True: [], False: []}
+        for rep in range(self.REPS):
+            for enabled in (rep % 2 == 0, rep % 2 == 1):
+                incidents = tmp_path / f"incidents-{rep}"
+                times[enabled].append(
+                    self._ingest_seconds(incidents if enabled else None)
+                )
+        # best of REPS per side: a burst of host noise only slows a rep
+        disabled = min(times[False])
+        enabled = min(times[True])
+        ratio = enabled / disabled
         bench_record(
             "obs_overhead",
             "blackbox_steady_state_ingest",
-            disabled_median_seconds=round(disabled, 6),
-            enabled_median_seconds=round(enabled, 6),
-            overhead_ratio=round(enabled / disabled, 3) if disabled else None,
+            disabled_min_seconds=round(disabled, 6),
+            enabled_min_seconds=round(enabled, 6),
+            overhead_ratio=round(ratio, 3),
+            budget=self.BUDGET,
             contexts=self.CONTEXTS,
             ticks=self.TICKS,
         )
-        # steady state commits nothing; the ring append must stay within
-        # run-to-run noise (same generous bound as the infer benchmark)
-        assert enabled <= disabled * 1.5 + 0.005
+        assert ratio <= self.BUDGET
 
 
 class TestFleetTickOverhead:

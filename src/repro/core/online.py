@@ -10,8 +10,8 @@ an agent would run per operation context:
    :class:`~repro.stats.arima.OneStepPredictor` (O(p + d + q) per tick
    for every order; DESIGN.md §13.2);
 2. **collecting** — after the alarm, metric samples are gathered until the
-   abnormal window is full (the alarm's lead-in samples are included from
-   the ring buffer, matching :meth:`InvarNetX.extract_abnormal_window`);
+   abnormal window is full (the alarm's lead-in samples are included,
+   matching :meth:`InvarNetX.extract_abnormal_window`);
 3. **diagnosing** — cause inference runs on the collected window and a
    :class:`DiagnosisEvent` is emitted, after which the monitor holds a
    cool-down before re-arming (one incident, one report).
@@ -30,10 +30,14 @@ consumes.  The per-tick counters are written through series bound once
 per monitor (:meth:`repro.obs.metrics.MetricsRegistry.bind_counter`), not
 looked up in the registry per tick.
 
-A monitor may carry its lane's flight ring
+Each accepted metric row is copied once, into a preallocated row ring
+(tick ``t`` at row ``t % capacity``): the alarm's lead-in is its last
+``CONSECUTIVE + 2`` rows and the abnormal window a copy of its last
+``window_ticks`` rows.  A monitor may carry its lane's flight ring
 (:attr:`OnlineMonitor.recorder`, a
-:class:`~repro.obs.blackbox.FlightRecorder`): the monitor notes its own
-state transitions into it, the feeder records each tick after
+:class:`~repro.obs.blackbox.FlightRecorder`, see :meth:`attach`), which
+reads its metric rows from the row ring; the monitor notes its own state
+transitions into it, the feeder records each tick's other columns after
 :meth:`OnlineMonitor.observe`.  No blackbox means no recorder.
 """
 
@@ -42,7 +46,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -201,23 +204,14 @@ class OnlineMonitor:
         self._seed: list[float] = []
         self._predictor: OneStepPredictor | None = None
         self._cpi_len = 0
-        # CPI observed while the abnormal window is being collected —
-        # quarantined from the detector history so the ARIMA detector
-        # never resumes on fault-contaminated history after the cool-down.
-        self._incident_cpi: list[float] = []
-        # lead-in buffer: the alarm fires CONSECUTIVE ticks into the
-        # problem, and the window starts 2 ticks before the alarm
-        self._recent_metrics: deque[np.ndarray] = deque(
-            maxlen=self.CONSECUTIVE + 2
-        )
-        self._collected: list[np.ndarray] = []
+        self._shape = (len(models.invariants.catalog),)
+        self._rows = np.empty((window_ticks, self.width))  # the row ring
         self._tick = -1
         self._streak = 0
         self._alarm_tick: int | None = None
         self._cooldown_left = 0
         self.state = MonitorState.WARMUP
         self._label = str(context)
-        self._shape = (len(models.invariants.catalog),)
         # the per-tick counters, bound once and created on first write
         registry = obs.metrics_registry()
         self._state_ticks = registry.bind_counter(
@@ -232,10 +226,19 @@ class OnlineMonitor:
             ("context",),
             context=self._label,
         )
-        #: The lane's flight ring, or None (no blackbox).  The monitor
-        #: notes its own state changes into it; whoever feeds the lane
-        #: (the fleet's drain loop) records the ticks.
+        #: The lane's flight ring (:meth:`attach`), or None (no
+        #: blackbox).  The monitor notes its own state changes into it;
+        #: whoever feeds the lane (the fleet's drain loop) records ticks.
         self.recorder: FlightRecorder | None = None
+
+    def attach(self, recorder: FlightRecorder) -> None:
+        """Carry ``recorder`` as the lane's flight ring (before the first
+        tick): the row ring grows to ``max(window_ticks,
+        recorder.capacity)`` rows, and the recorder reads its ticks'
+        metric rows from it."""
+        capacity = max(self.window_ticks, recorder.capacity)
+        self._rows = recorder.rows = np.empty((capacity, self.width))
+        self.recorder = recorder
 
     # ------------------------------------------------------------------
     @property
@@ -364,14 +367,14 @@ class OnlineMonitor:
                 would break every later drift check, one such row the
                 abnormal window.
         """
-        row = np.asarray(metrics_row, dtype=float)
-        if not self.accepts(row, cpi):
+        if not self.accepts(metrics_row, cpi):
             raise MalformedTick(
                 f"refusing tick: need a finite CPI and a finite "
                 f"({self.width},) metric row, got CPI {cpi!r} and a row "
-                f"of shape {row.shape}"
+                f"of shape {np.shape(metrics_row)}"
             )
         self._tick += 1
+        self._rows[self._tick % len(self._rows)] = metrics_row
         state = self.state
         if obs.enabled():
             self._state_ticks.series(state.value).inc()
@@ -379,25 +382,27 @@ class OnlineMonitor:
                 self._checks.series().inc()  # the verdict consumed below
 
         if state is MonitorState.COLLECTING:
-            self._collected.append(row)
-            # keep the lead-in ring current so a prompt second alarm
-            # seeds its window with these rows, not pre-incident ones
-            self._recent_metrics.append(row)
-            # fault-window CPI is quarantined: folding it into the
-            # detector history would teach it the faulty level and mask an
-            # identical back-to-back incident after the cool-down
-            self._incident_cpi.append(float(cpi))
-            if len(self._collected) >= self.window_ticks:
-                window = np.asarray(self._collected)
+            # fault-window CPI is quarantined (this branch never extends
+            # the history): folding it into the detector history would
+            # teach it the faulty level and mask an identical
+            # back-to-back incident after the cool-down
+            assert self._alarm_tick is not None
+            # the window starts 2 ticks before the alarm's first
+            # anomalous tick (or at tick 0) and ends when it is full
+            start = max(0, self._alarm_tick - self.CONSECUTIVE - 1)
+            if self._tick - start + 1 >= self.window_ticks:
+                window = self._rows.take(
+                    range(self._tick + 1 - self.window_ticks, self._tick + 1),
+                    axis=0,
+                    mode="wrap",
+                )
                 inference = self.pipeline.infer(self.context, window)
-                assert self._alarm_tick is not None
                 event = DiagnosisEvent(
                     tick=self._tick,
                     alarm_tick=self._alarm_tick,
                     inference=inference,
                     window=window,
                 )
-                self._collected = []
                 self._alarm_tick = None
                 self._streak = 0
                 self._cooldown_left = self.cooldown_ticks
@@ -425,7 +430,6 @@ class OnlineMonitor:
         if anomalous is None:
             anomalous = self.check(cpi)
         self._extend_history(float(cpi))
-        self._recent_metrics.append(row)
 
         if state is MonitorState.WARMUP:
             if self._cpi_len >= self.warmup_ticks:
@@ -434,7 +438,6 @@ class OnlineMonitor:
         if state is MonitorState.COOLDOWN:
             self._cooldown_left -= 1
             if self._cooldown_left <= 0:
-                self._incident_cpi.clear()
                 self._transition(MonitorState.MONITORING)
             return None
 
@@ -442,8 +445,6 @@ class OnlineMonitor:
         self._streak = self._streak + 1 if anomalous else 0
         if self._streak >= self.CONSECUTIVE:
             self._alarm_tick = self._tick
-            # seed the window with the lead-in samples already buffered
-            self._collected = list(self._recent_metrics)
             self._transition(MonitorState.COLLECTING)
             if obs.enabled():
                 obs.metrics_registry().counter(

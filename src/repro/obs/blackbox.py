@@ -7,7 +7,8 @@ state-machine transitions and model revision that produced the diagnosis
 
 - :class:`FlightRecorder` — a per-lane bounded ring of
   :class:`TickRecord`\\ s (raw metric row, CPI, drift verdict, monitor
-  state, active request id) plus the recent state transitions.  It is an
+  state, active request id) plus the recent state transitions; the raw
+  rows stay in the lane's own row ring until a snapshot.  It is an
   attribute of the lane (:attr:`~repro.core.online.OnlineMonitor.recorder`);
   when the blackbox is off the lane carries none, and the fleet's
   disabled path allocates nothing here
@@ -38,7 +39,6 @@ import hashlib
 import json
 import platform
 import sys
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,10 +191,13 @@ class FlightSnapshot:
 class FlightRecorder:
     """Bounded flight ring of one monitor lane.
 
-    Appends and the diagnosing tick's snapshot happen on the ingesting
-    caller's thread under the owning shard's lock; the ring still
-    carries its own (leaf) lock so a snapshot taken from anywhere else
-    is consistent too.
+    The ring keeps each tick's columns (tick index, CPI, drift verdict,
+    monitor state, request id) and the recent state transitions, but no
+    metric rows: :meth:`snapshot` reads those from the lane's row ring,
+    which :meth:`~repro.core.online.OnlineMonitor.attach` binds as
+    :attr:`rows` (tick ``t`` at row ``t % len(rows)``).  Appends and
+    snapshots happen under the owning shard's lock, so the ring takes no
+    lock of its own.
 
     Args:
         context: the operation context the lane watches.
@@ -214,56 +217,46 @@ class FlightRecorder:
         self.context = context
         self.capacity = capacity
         self.model_revision = model_revision
-        self._lock = threading.Lock()
-        self._ticks: deque[TickRecord] = deque(maxlen=capacity)  # repro: guarded-by=_lock
-        self._transitions: deque[TransitionRecord] = deque(  # repro: guarded-by=_lock
+        #: The lane's row ring (bound by ``OnlineMonitor.attach``).
+        self.rows: np.ndarray | None = None
+        # one (tick, cpi, verdict, state, request_id) tuple per tick
+        self._ticks: deque[tuple] = deque(maxlen=capacity)
+        self._transitions: deque[TransitionRecord] = deque(
             maxlen=_TRANSITION_CAPACITY
         )
 
     def record(
         self,
         tick: int,
-        metrics: Any,
         cpi: float,
         verdict: bool | None,
         state: str,
         request_id: str = "",
     ) -> None:
-        """Append one tick to the ring."""
-        # ndarray.tolist() is one C call; per-element float() would
-        # dominate the fleet's steady-state recording cost
-        if isinstance(metrics, np.ndarray):
-            values = tuple(metrics.tolist())
-        else:
-            values = tuple(float(v) for v in metrics)
-        entry = TickRecord(
-            tick=tick,
-            metrics=values,
-            cpi=float(cpi),
-            verdict=verdict,
-            state=state,
-            request_id=request_id,
-        )
-        with self._lock:
-            self._ticks.append(entry)
+        """Append one tick's columns to the ring."""
+        self._ticks.append((tick, cpi, verdict, state, request_id))
 
     def note_transition(self, tick: int, src: str, dst: str) -> None:
         """Append one state-machine transition (monitor hook)."""
-        entry = TransitionRecord(tick=tick, src=src, dst=dst)
-        with self._lock:
-            self._transitions.append(entry)
+        self._transitions.append(TransitionRecord(tick=tick, src=src, dst=dst))
 
     def snapshot(self) -> FlightSnapshot:
-        """An immutable copy of the ring's current contents."""
-        with self._lock:
-            ticks = tuple(self._ticks)
-            transitions = tuple(self._transitions)
+        """An immutable copy of the ring's current contents, each tick
+        materialised as a :class:`TickRecord` with its metric row."""
+        columns = list(self._ticks)
+        rows = []
+        if columns:  # a recorder that recorded has a row ring
+            ticks = [column[0] for column in columns]
+            rows = self.rows.take(ticks, axis=0, mode="wrap").tolist()
         return FlightSnapshot(
             context=self.context.key(),
             capacity=self.capacity,
             model_revision=self.model_revision,
-            ticks=ticks,
-            transitions=transitions,
+            ticks=tuple(
+                TickRecord(t, tuple(row), cpi, verdict, state, rid)
+                for (t, cpi, verdict, state, rid), row in zip(columns, rows)
+            ),
+            transitions=tuple(self._transitions),
         )
 
 

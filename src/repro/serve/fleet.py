@@ -8,7 +8,8 @@ contexts (§3.2's deployment unit).  :class:`FleetMonitor` owns them all:
   ``hash`` is salted per process), each shard serialises its lanes behind
   its own lock, so concurrent callers of :meth:`FleetMonitor.ingest`
   (one HTTP handler thread per connection) make progress without a
-  global lock, and each batch drains on the thread that delivered it;
+  global lock, and each batch drains on the thread that delivered it,
+  each lane's run of ticks in one visit;
 - **lazy construction with warm start** — a context's monitor is built on
   its first tick from the pipeline's attached
   :class:`~repro.store.base.ModelStore` (a populated
@@ -16,7 +17,8 @@ contexts (§3.2's deployment unit).  :class:`FleetMonitor` owns them all:
   start warm); untrained contexts are rejected and counted, not fatal;
 - **LRU eviction** — each shard caps its resident lanes and evicts the
   least-recently-active monitor (models stay in the store, so an evicted
-  context warm-starts again on its next tick);
+  context warm-starts again on its next tick; a lane visited once per
+  batch is never evicted and rebuilt inside one);
 - **one drift check, one validation** — each tick's verdict comes from
   the lane's own :meth:`~repro.core.online.OnlineMonitor.check`
   (O(p + d + q), every ARIMA order, pure) and goes to ``observe`` and the
@@ -32,7 +34,8 @@ contexts (§3.2's deployment unit).  :class:`FleetMonitor` owns them all:
 - the **blackbox** — pass ``blackbox_dir`` and every lane carries a
   :class:`~repro.obs.blackbox.FlightRecorder` as
   :attr:`OnlineMonitor.recorder` (bounded ring of raw ticks, drift
-  verdicts, state transitions and request ids).  The drain loop cuts
+  verdicts, state transitions and request ids, the rows read from the
+  lane's row ring).  The drain loop cuts
   the ring at the diagnosing tick and the snapshot travels with the
   event (:attr:`FleetEvent.flight`), so each diagnosis is committed as
   a content-fingerprinted incident bundle whose bytes do not depend on
@@ -54,6 +57,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +94,7 @@ def shard_index(key: ContextKey, shards: int) -> int:
     return zlib.crc32(f"{key[0]}@{key[1]}".encode("utf-8")) % shards
 
 
-@dataclass(frozen=True)
-class Tick:
+class Tick(NamedTuple):
     """One telemetry sample of one context.
 
     Attributes:
@@ -170,6 +173,7 @@ class _Shard:
         self.index = index
         self.max_lanes = max_lanes
         self._lock = threading.RLock()
+        # the lock guards each lane's row ring and flight ring as well
         self._lanes: OrderedDict[ContextKey, OnlineMonitor] = OrderedDict()  # repro: guarded-by=_lock
         self.evictions = 0  # repro: guarded-by=_lock
         registry = obs.metrics_registry()
@@ -281,10 +285,10 @@ class FleetMonitor:
         """Feed one batch of ticks, drained shard by shard on the
         calling thread.
 
-        Per-context tick order inside the batch is preserved (a context
-        lives on exactly one shard, and each shard processes its slice
-        in batch order under its lock).  Events come back sorted by
-        batch position.
+        Each context's run of ticks is drained in batch order in one
+        visit to its lane (one lookup, one LRU touch) under its shard's
+        lock, contexts in order of first appearance.  Events come back
+        sorted by batch position.
 
         Args:
             batch: the ticks to route.
@@ -294,20 +298,19 @@ class FleetMonitor:
                 entries, so an HTTP-triggered incident is traceable end
                 to end.
         """
-        groups: dict[int, list[tuple[int, Tick]]] = {}
+        runs: dict[ContextKey, list[int]] = {}
         for pos, tick in enumerate(batch):
-            idx = shard_index(tick.context.key(), len(self._shards))
-            groups.setdefault(idx, []).append((pos, tick))
-        with obs.span("fleet.ingest"):
-            slices = [
-                self._drain(self._shards[idx], ticks, request_id)
-                for idx, ticks in groups.items()
-            ]
+            runs.setdefault(tick.context.key(), []).append(pos)
+        groups: dict[int, list[list[int]]] = {}
+        for key, run in runs.items():
+            idx = shard_index(key, len(self._shards))
+            groups.setdefault(idx, []).append(run)
         result = IngestResult()
-        for accepted, rejected, events in slices:
-            result.accepted += accepted
-            result.rejected += rejected
-            result.events.extend(events)
+        with obs.span("fleet.ingest"):
+            for idx, shard_runs in groups.items():
+                shard = self._shards[idx]
+                with shard._lock:
+                    self._drain(shard, batch, shard_runs, request_id, result)
         result.events.sort(key=lambda e: e.index)
         for fleet_event in result.events:
             self._sink(fleet_event, request_id)
@@ -336,10 +339,14 @@ class FleetMonitor:
     def _drain(
         self,
         shard: _Shard,
-        ticks: list[tuple[int, Tick]],
-        request_id: str = "",
-    ) -> tuple[int, int, list[FleetEvent]]:
-        """Process one shard's slice of the batch, in batch order.
+        batch: list[Tick],
+        runs: list[list[int]],
+        request_id: str,
+        result: IngestResult,
+    ) -> None:
+        """Process one shard's part of the batch into ``result`` (caller
+        holds the shard lock): each run (the batch positions of one
+        context's ticks) in one visit to its lane.
 
         Each tick is validated once, by ``observe``: the pure check runs
         first (its verdict goes into ``observe`` and the flight ring),
@@ -348,35 +355,28 @@ class FleetMonitor:
         """
         accepted = 0
         rejected = {"untrained": 0, "malformed": 0}
-        events: list[FleetEvent] = []
-        with shard._lock:
-            for pos, tick in ticks:
-                monitor = self._lane_for(shard, tick.context)
-                if monitor is None:
-                    rejected["untrained"] += 1
-                    continue
-                cpi = float(tick.cpi)
+        for run in runs:
+            monitor = self._lane_for(shard, batch[run[0]].context)
+            if monitor is None:
+                rejected["untrained"] += len(run)
+                continue
+            recorder = monitor.recorder
+            for pos in run:
+                context, metrics, cpi = batch[pos]
+                cpi = float(cpi)
                 # the state *entering* the tick: replay needs it to tell
                 # quarantined (collecting) CPI from detector history
                 state = monitor.state.value
                 verdict = fast_check(monitor, cpi)
                 try:
-                    event = monitor.observe(
-                        tick.metrics, cpi, anomalous=verdict
-                    )
+                    event = monitor.observe(metrics, cpi, anomalous=verdict)
                 except MalformedTick:
                     rejected["malformed"] += 1
                     continue
                 accepted += 1
-                recorder = monitor.recorder
                 if recorder is not None:
                     recorder.record(
-                        monitor.tick,
-                        tick.metrics,
-                        cpi,
-                        verdict,
-                        state,
-                        request_id,
+                        monitor.tick, cpi, verdict, state, request_id
                     )
                 if event is None:
                     continue
@@ -386,15 +386,16 @@ class FleetMonitor:
                     # ticks of the batch, or the lane's eviction, must
                     # neither change nor lose it
                     flight = recorder.snapshot()
-                events.append(FleetEvent(pos, tick.context, event, flight))
-            # still under the lock: a binding serialises on its owner
-            dropped = sum(rejected.values())
-            if obs.enabled() and (accepted or dropped):
-                shard.ticks.series().inc(accepted)
-                for reason, count in rejected.items():
-                    if count:
-                        shard.rejected.series(reason).inc(count)
-        return accepted, dropped, events
+                result.events.append(FleetEvent(pos, context, event, flight))
+        # a binding serialises on its owner: the caller holds the lock
+        dropped = sum(rejected.values())
+        if obs.enabled() and (accepted or dropped):
+            shard.ticks.series().inc(accepted)
+            for reason, count in rejected.items():
+                if count:
+                    shard.rejected.series(reason).inc(count)
+        result.accepted += accepted
+        result.rejected += dropped
 
     def _lane_for(
         self, shard: _Shard, context: OperationContext
@@ -418,10 +419,8 @@ class FleetMonitor:
         )
         shard._lanes[key] = monitor
         if self.blackbox_dir is not None:
-            monitor.recorder = FlightRecorder(
-                context,
-                model_revision=int(self.pipeline.store.revision(key)),
-            )
+            revision = int(self.pipeline.store.revision(key))
+            monitor.attach(FlightRecorder(context, model_revision=revision))
         if (
             shard.max_lanes is not None
             and len(shard._lanes) > shard.max_lanes

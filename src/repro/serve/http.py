@@ -154,29 +154,43 @@ def _event_json(context: OperationContext, event) -> dict:
     return out
 
 
-def _parse_tick(entry: object) -> Tick | None:
-    """One JSON tick → :class:`Tick`, or None when malformed."""
-    if not isinstance(entry, dict):
-        return None
-    workload = entry.get("workload")
-    node = entry.get("node")
-    metrics = entry.get("metrics")
-    cpi = entry.get("cpi")
-    if not isinstance(workload, str) or not isinstance(node, str):
-        return None
-    if not isinstance(metrics, list) or not isinstance(cpi, (int, float)):
-        return None
-    try:
-        row = np.asarray(metrics, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if row.ndim != 1:
-        return None
-    ip = entry.get("ip", "")
-    context = OperationContext(
-        workload, node, ip if isinstance(ip, str) else ""
-    )
-    return Tick(context=context, metrics=row, cpi=float(cpi))
+def _parse_ticks(entries: list) -> list[Tick]:
+    """The well-formed :class:`Tick`\\ s of a ``ticks`` list; the other
+    entries are malformed.  A tick needs non-empty ``workload`` and
+    ``node`` strings, a JSON number ``cpi`` and a flat ``metrics`` list
+    that numpy parses to an integer or float dtype (no per-element
+    check: a list holding a string or ``null``, or only booleans, parses
+    to another dtype).  Each distinct context is built once per request.
+    """
+    batch: list[Tick] = []
+    contexts: dict[tuple[str, str, str], OperationContext] = {}
+    for entry in entries:
+        if type(entry) is not dict:
+            continue
+        workload = entry.get("workload")
+        node = entry.get("node")
+        metrics = entry.get("metrics")
+        cpi = entry.get("cpi")
+        ip = entry.get("ip", "")
+        if type(workload) is not str or type(node) is not str:
+            continue
+        if not (workload and node and type(metrics) is list):
+            continue
+        if type(cpi) not in (int, float):  # a boolean is not a number
+            continue
+        try:
+            row = np.asarray(metrics)
+            value = float(cpi)
+        except (ValueError, OverflowError):
+            continue  # a ragged row, or an integer CPI past float range
+        if row.ndim != 1 or row.dtype.kind not in "iuf":
+            continue
+        key = (workload, node, ip if type(ip) is str else "")
+        context = contexts.get(key)
+        if context is None:
+            context = contexts[key] = OperationContext(*key)
+        batch.append(Tick(context, row, value))
+    return batch
 
 
 def _parse_context(raw: str) -> OperationContext | None:
@@ -460,21 +474,14 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(ticks_json, list):
             self._reply_error(400, 'body must be {"ticks": [...]}')
             return
-        batch: list[Tick] = []
-        malformed = 0
-        for entry in ticks_json:
-            tick = _parse_tick(entry)
-            if tick is None:
-                malformed += 1
-            else:
-                batch.append(tick)
+        batch = _parse_ticks(ticks_json)
         result = self.fleet.ingest(batch, request_id=self.request_id)
         self._reply_json(
             200,
             {
                 "accepted": result.accepted,
                 "rejected": result.rejected,
-                "malformed": malformed,
+                "malformed": len(ticks_json) - len(batch),
                 "events": [
                     _event_json(e.context, e.event) for e in result.events
                 ],

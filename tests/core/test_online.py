@@ -14,10 +14,12 @@ from repro.core.invariants import InvariantSet, InvariantTracker, select_invaria
 from repro.core.online import (
     AlarmEvent,
     DiagnosisEvent,
+    MalformedTick,
     MonitorState,
     OnlineMonitor,
 )
 from repro.faults.spec import FaultSpec, build_fault
+from repro.obs.blackbox import FlightRecorder
 from repro.stats.arima import ARIMAModel, ARIMAOrder
 from repro.store import ContextModels
 from repro.telemetry.metrics import MetricCatalog
@@ -369,8 +371,8 @@ class TestStateMachineBugfixes:
         assert alarm_b.tick == fault_b_start + 2
 
     def test_collection_cpi_quarantined(self):
-        """White-box: COLLECTING CPI lands in the incident buffer, not
-        the detector history, and the buffer clears on re-arm."""
+        """COLLECTING CPI stays out of the detector history; the
+        cool-down's CPI goes back into it."""
         monitor = self._monitor(captured=[])
         self._feed_flat(monitor, 1.0, self.WARMUP)
         _, value = self._incident(monitor, 1.0)
@@ -378,12 +380,11 @@ class TestStateMachineBugfixes:
         self._feed_flat(monitor, value, self.WINDOW - self.LEAD_IN)
         # the three collection ticks were quarantined
         assert monitor.cpi_len == self.WARMUP + OnlineMonitor.CONSECUTIVE
-        assert monitor._incident_cpi == [value] * (
-            self.WINDOW - self.LEAD_IN
-        )
         self._feed_flat(monitor, value, self.COOLDOWN)
         assert monitor.state is MonitorState.MONITORING
-        assert monitor._incident_cpi == []  # cleared on re-arm
+        assert monitor.cpi_len == (
+            self.WARMUP + OnlineMonitor.CONSECUTIVE + self.COOLDOWN
+        )
 
     # -- bugfix 2: lead-in ring stays fresh across a prompt re-arm ------
     def test_short_cooldown_second_window_has_no_stale_rows(self):
@@ -450,6 +451,70 @@ class TestStateMachineBugfixes:
         assert isinstance(diagnosis, DiagnosisEvent)
         assert diagnosis.window is not None
         assert np.array_equal(diagnosis.window, captured[0])
+
+
+class TestWindowIsTheRing:
+    """The abnormal window is a copy of the monitor's last
+    ``window_ticks`` accepted rows, whatever the ring's capacity, however
+    early the alarm and however soon after a cool-down it fires."""
+
+    WINDOW = TestMonitorStateMachine.WINDOW
+
+    def _drive(self, warmup_ticks, cooldown_ticks, ticks, recorder=False):
+        """Every tick gets an anomalous verdict (so each alarm fires as
+        early as the state machine allows); every 7th tick is preceded
+        by a refused short row.  Returns ``(alarm_tick, tick)`` of each
+        diagnosis, after checking its window against the accepted
+        rows."""
+        context = OperationContext("wordcount", "slave-1")
+        pipe = TestMonitorStateMachine()._pipeline(context)
+        pipe.infer = lambda ctx, window, top_k=3: InferenceResult(
+            causes=[], violations=np.zeros(1, dtype=bool)
+        )
+        monitor = OnlineMonitor(
+            pipe,
+            context,
+            window_ticks=self.WINDOW,
+            warmup_ticks=warmup_ticks,
+            cooldown_ticks=cooldown_ticks,
+        )
+        if recorder:
+            monitor.attach(FlightRecorder(context))  # a 64-row ring
+        accepted: list[np.ndarray] = []
+        diagnoses = []
+        for t in range(ticks):
+            if t % 7 == 6:
+                with pytest.raises(MalformedTick):
+                    monitor.observe(np.zeros(3), 1.0, anomalous=True)
+            row = np.arange(4.0) + 10.0 * t
+            event = monitor.observe(row, 1.0, anomalous=True)
+            accepted.append(row)
+            if isinstance(event, DiagnosisEvent):
+                assert np.array_equal(
+                    event.window, np.array(accepted[-self.WINDOW :])
+                )
+                diagnoses.append((event.alarm_tick, event.tick))
+        return diagnoses
+
+    @pytest.mark.parametrize("recorder", [False, True])
+    def test_second_alarm_right_after_cooldown(self, recorder):
+        # warm-up ends at tick 11, the alarm fires at 14 and the window
+        # fills at 17; the 1-tick cool-down re-arms at 18, so the next
+        # alarm's lead-in holds the diagnosing and cool-down rows
+        diagnoses = self._drive(12, 1, 120, recorder)
+        assert diagnoses[:2] == [(14, 17), (21, 24)]
+        assert len(diagnoses) == 15
+
+    @pytest.mark.parametrize("warmup_ticks", [0, 1, 2])
+    def test_alarm_before_a_full_lead_in(self, warmup_ticks):
+        # tick 0 is always a warm-up tick, so monitoring starts at tick
+        # max(warmup_ticks, 1) and the alarm fires CONSECUTIVE - 1 ticks
+        # later with at most CONSECUTIVE + 2 rows behind it (fewer for
+        # warm-ups 0 and 1): the window is every row up to WINDOW - 1
+        assert warmup_ticks < OnlineMonitor.CONSECUTIVE + 2
+        diagnoses = self._drive(warmup_ticks, 0, 40)
+        first_alarm = max(warmup_ticks, 1) + OnlineMonitor.CONSECUTIVE - 1
+        assert diagnoses[0] == (first_alarm, self.WINDOW - 1)
 
 
 class TestNonFiniteCpi:

@@ -162,11 +162,15 @@ class TestFlightRecorder:
         recorder = FlightRecorder(
             OperationContext("wc", "n0"), capacity=4
         )
+        recorder.rows = np.arange(10.0).reshape(10, 1)  # tick t's row: [t]
         for t in range(10):
-            recorder.record(t, (float(t),), 1.0, None, "monitoring")
+            recorder.record(t, 1.0, None, "monitoring")
         snap = recorder.snapshot()
         assert len(snap.ticks) == 4
         assert [r.tick for r in snap.ticks] == [6, 7, 8, 9]
+        assert [r.metrics for r in snap.ticks] == [
+            (6.0,), (7.0,), (8.0,), (9.0,)
+        ]
         assert snap.capacity == 4
         assert snap.context == ("wc", "n0")
 
@@ -186,8 +190,9 @@ class TestFlightRecorder:
         recorder = FlightRecorder(
             OperationContext("wc", "n0"), capacity=8, model_revision=3
         )
-        recorder.record(5, (1.0, 2.0), 1.5, True, "monitoring", "req-1")
-        recorder.record(6, (1.0, 2.0), 9.5, None, "collecting")
+        recorder.rows = np.tile([1.0, 2.0], (8, 1))
+        recorder.record(5, 1.5, True, "monitoring", "req-1")
+        recorder.record(6, 9.5, None, "collecting")
         recorder.note_transition(6, "monitoring", "collecting")
         snap = recorder.snapshot()
         restored = FlightSnapshot.from_json(

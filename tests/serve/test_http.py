@@ -326,3 +326,59 @@ class TestRefusedPostKeepsConnectionInStep:
         assert b"\r\nConnection: close" in head
         assert json.loads(body)["error"].startswith("invalid or oversized")
         assert b"HTTP/1.1 200" not in data  # the body was never a request
+
+
+class TestMalformedTickEntries:
+    """Every entry the parse cannot turn into a tick is counted as
+    malformed in a 200 reply; none of them may end the connection."""
+
+    def _keepalive_ingest(self, base, entries):
+        """POST ``entries`` and then GET /health on one connection."""
+        host, port = base[len("http://"):].rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            body = json.dumps({"ticks": entries})
+            resp, data = _request(conn, "POST", "/ingest", "bad-0", body)
+            assert resp.status == 200
+            assert not resp.will_close
+            health_resp, health = _request(conn, "GET", "/health", "bad-1")
+            assert health_resp.status == 200
+            return json.loads(data), json.loads(health)
+        finally:
+            conn.close()
+
+    def test_empty_workload_or_node_is_malformed(self, served_fleet):
+        fleet, contexts, base = served_fleet
+        good = _tick_json(contexts[0], 1.0, 0)
+        entries = [
+            {**good, "workload": ""},
+            {**good, "node": ""},
+            good,
+            {**good, "workload": ""},  # a repeated empty context
+        ]
+        reply, health = self._keepalive_ingest(base, entries)
+        assert reply == {
+            "accepted": 1, "rejected": 0, "malformed": 3, "events": [],
+        }
+        assert health["contexts"] == 1
+
+    def test_non_numbers_are_malformed(self, served_fleet):
+        fleet, contexts, base = served_fleet
+        good = _tick_json(contexts[0], 1.0, 0)
+        entries = [
+            {**good, "cpi": True},
+            {**good, "cpi": "1.0"},
+            {**good, "cpi": 10**400},  # an integer no float holds
+            {**good, "metrics": ["1.5", 1.0, 1.0, 1.0]},
+            {**good, "metrics": [True, True, False, True]},
+            {**good, "metrics": [1.0, None, 1.0, 1.0]},
+            {**good, "metrics": [[1.0, 1.0], [1.0]]},
+            {**good, "metrics": [[1.0, 1.0], [1.0, 1.0]]},
+            {**good, "metrics": [1, 2, 3, 4]},  # integers are numbers
+            good,
+        ]
+        reply, _ = self._keepalive_ingest(base, entries)
+        assert reply["malformed"] == 8
+        assert reply["accepted"] == 2
+        lane = fleet.lane(contexts[0])
+        assert lane is not None and lane.tick == 1
