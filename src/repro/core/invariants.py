@@ -124,12 +124,17 @@ class InvariantSet:
             (self.catalog.name(i), self.catalog.name(j)) for i, j in self.pairs
         ]
 
+    def index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column index arrays of :attr:`pairs`, so a matrix's
+        values at every invariant pair are one fancy index."""
+        ij = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
+        return ij[:, 0], ij[:, 1]
+
     def observed(self, abnormal: AssociationMatrix) -> np.ndarray:
         """The abnormal window's association value of each invariant
         pair, aligned with :attr:`pairs`."""
-        return np.array(
-            [abnormal.values[i, j] for i, j in self.pairs], dtype=float
-        )
+        rows, cols = self.index()
+        return np.asarray(abnormal.values[rows, cols], dtype=float)
 
     def violated(
         self, observed: np.ndarray, epsilon: float = EPSILON
@@ -202,15 +207,23 @@ class InvariantTracker:
         """The invariant set implied by the runs folded in so far."""
         if self.n_runs == 0:
             raise RuntimeError("no runs have been added")
-        pairs: list[tuple[int, int]] = []
-        baseline: list[float] = []
-        for i, j in self.catalog.pairs():
-            if self._max[i, j] - self._min[i, j] < self.tau:
-                pairs.append((i, j))
-                baseline.append(float(self._max[i, j]))
-        return InvariantSet(
-            pairs=pairs, baseline=np.asarray(baseline), catalog=self.catalog
-        )
+        return _stable_pairs(self._min, self._max, self.tau, self.catalog)
+
+
+def _stable_pairs(
+    low: np.ndarray, high: np.ndarray, tau: float, catalog: MetricCatalog
+) -> InvariantSet:
+    """Algorithm 1 over each pair's ``min(V(m,n))`` and ``max(V(m,n))``.
+
+    The upper triangle of ``np.triu_indices`` runs in
+    :meth:`MetricCatalog.pairs` order, so the selected pairs come out in
+    canonical order.
+    """
+    rows, cols = np.triu_indices(len(catalog), 1)
+    top = high[rows, cols]
+    keep = top - low[rows, cols] < tau
+    pairs = list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    return InvariantSet(pairs=pairs, baseline=top[keep], catalog=catalog)
 
 
 def select_invariants(
@@ -251,14 +264,4 @@ def select_invariants(
                 "mismatched matrix would silently mis-align metric pairs"
             )
     stack = np.stack(mats)  # (N, M, M)
-
-    pairs: list[tuple[int, int]] = []
-    baseline: list[float] = []
-    for i, j in catalog.pairs():
-        v = stack[:, i, j]
-        if float(v.max() - v.min()) < tau:
-            pairs.append((i, j))
-            baseline.append(float(v.max()))
-    return InvariantSet(
-        pairs=pairs, baseline=np.asarray(baseline), catalog=catalog
-    )
+    return _stable_pairs(stack.min(axis=0), stack.max(axis=0), tau, catalog)

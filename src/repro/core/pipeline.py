@@ -125,10 +125,10 @@ def _invariant_spreads(matrices: list, invariants: InvariantSet) -> list[float]:
     stack = np.stack(
         [np.asarray(getattr(m, "values", m), dtype=float) for m in matrices]
     )
-    return [
-        round(float(stack[:, i, j].max() - stack[:, i, j].min()), 6)
-        for i, j in invariants.pairs
-    ]
+    rows, cols = invariants.index()
+    values = stack[:, rows, cols]
+    spread = values.max(axis=0) - values.min(axis=0)
+    return [round(s, 6) for s in spread.tolist()]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,11 @@ the reference implementation.
 One batched kernel scores every pair of a window (:func:`_mic_pairs`).
 Everything that depends on a single column only — its sort order, its
 tie groups, and the whole family of y-axis equipartitions (one per row
-count, each with its entropy ``H(Q)``) — is computed once by
-:func:`prepare_column`.  An *item* is an ordered pair ``(x, y)`` with one
+count, each with its entropy ``H(Q)``) — is computed once per window
+(:func:`prepare_column` for one column).  The family depends on the tie
+groups alone, so a window builds it once per distinct tie structure
+(:func:`_plan_family`) and each column only scatters it into its own
+index order.  An *item* is an ordered pair ``(x, y)`` with one
 entry of ``y``'s plan.  Clump construction, cumulative row counts and the
 x-axis dynamic programme all run as array operations over chunks of items
 whose arrays fit :data:`_CHUNK_BYTES`, and each item gets only the work
@@ -39,11 +42,13 @@ boundaries repeat ``n`` (their cells hold no points, so they are
 Per item, only the superclump walk runs, and only when an item has more
 clumps than its ``k_hat``.  Scalar :func:`mic` is the same kernel on a
 two-column window; :func:`repro.stats.micfast.mic_matrix_fast` runs it,
-serially, over a whole association matrix.
+serially, over a whole association matrix, and scores a pair with a
+constant member 0.0 without it, as :func:`mic` would.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -264,7 +269,9 @@ def _batch_cum_counts(
 
     Entry ``[i, r, t]`` counts item ``i``'s points before boundary ``t``
     that fall in row ``r``.  Past an item's last boundary the counts stay
-    at the row totals, and rows an item does not have stay zero.
+    at the row totals, and rows an item does not have stay zero.  The
+    table has the narrowest signed dtype that holds ``n``, so the gain
+    kernels' broadcast subtractions of it stay small.
     """
     c, n = q_x.shape
     k_max = bnd.shape[1] - 1
@@ -276,52 +283,63 @@ def _batch_cum_counts(
     flat *= rows
     flat += q_x
     counts = np.bincount(flat.ravel(), minlength=c * k_max * rows)
-    cum = np.zeros((c, rows, k_max + 1), dtype=np.intp)
-    np.cumsum(
-        counts.reshape(c, k_max, rows).transpose(0, 2, 1),
-        axis=2,
-        out=cum[:, :, 1:],
-    )
+    counts = counts.reshape(c, k_max, rows)
+    np.cumsum(counts, axis=1, out=counts)
+    cum = np.zeros((c, rows, k_max + 1), dtype=_int_dtype(n))
+    cum[:, :, 1:] = counts.transpose(0, 2, 1)
     return cum
 
 
 class _Scratch:
-    """Grow-only flat buffers that each gain-matrix chunk carves from.
+    """One grow-only buffer that the kernel's largest arrays are carved
+    from.
 
-    A chunk of ``c`` items with ``w = K + 1`` boundaries needs two float
-    matrices, one index matrix and one mask, all ``(c, w, w)``: that is
-    :data:`_CELL_BYTES` per cell.  The buffers grow to a window's largest
-    chunk and every chunk reuses them, so the chunk budget bounds the
-    kernel's scratch memory.  Two-column chunks build no matrix and
-    allocate their ``(c, w)`` lines as they go.
+    A gain-matrix chunk of ``c`` items with ``w = K + 1`` boundaries
+    carves two float matrices, one index matrix and one mask, all
+    ``(c, w, w)``: that is :data:`_CELL_BYTES` per cell.  A two-column
+    chunk carves its ``(c, w)`` lines, and a boundary pass its ``(c, n)``
+    index gather.  Every carve starts at the buffer's front, so these
+    peaks overlap instead of adding; the buffer grows to a window's
+    largest carve and is reused from then on.
     """
 
-    __slots__ = ("cells", "f0", "f1", "i0", "b0")
+    __slots__ = ("words", "typed")
 
     def __init__(self) -> None:
-        self._allocate(0)
+        self._grow(0)
 
-    def _allocate(self, cells: int) -> None:
-        self.cells = cells
-        self.f0 = np.empty(cells)
-        self.f1 = np.empty(cells)
-        self.i0 = np.empty(cells, dtype=np.intp)
-        self.b0 = np.empty(cells, dtype=bool)
+    def _grow(self, words: int) -> None:
+        buffer = np.empty(words)  # 8-byte words
+        self.words = words
+        # Each kind's view of the buffer, and how many items fill a word.
+        self.typed = {
+            float: (buffer, 1),
+            np.intp: (buffer.view(np.intp), 8 // np.dtype(np.intp).itemsize),
+            bool: (buffer.view(bool), 8),
+        }
+
+    def carve(self, shape: tuple[int, ...], *kinds: type) -> list[np.ndarray]:
+        """One array of ``shape`` per kind (``float``, ``np.intp`` or
+        ``bool``), laid end to end, each from a word boundary.  They are
+        views of the buffer: the next carve overwrites them."""
+        count = math.prod(shape)
+        spans = [-(-count // self.typed[kind][1]) for kind in kinds]
+        if sum(spans) > self.words:
+            self._grow(sum(spans))
+        out = []
+        word = 0
+        for kind, span in zip(kinds, spans):
+            view, per_word = self.typed[kind]
+            first = word * per_word
+            out.append(view[first : first + count].reshape(shape))
+            word += span
+        return out
 
     def views(
         self, c: int, w: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(c, w, w)`` float, float, index and mask views."""
-        size = c * w * w
-        if size > self.cells:
-            self._allocate(size)
-        shape = (c, w, w)
-        return (
-            self.f0[:size].reshape(shape),
-            self.f1[:size].reshape(shape),
-            self.i0[:size].reshape(shape),
-            self.b0[:size].reshape(shape),
-        )
+        return tuple(self.carve((c, w, w), float, float, np.intp, bool))
 
 
 #: Scratch bytes per ``(c, w, w)`` cell: two float64, one index, one mask.
@@ -329,19 +347,20 @@ _CELL_BYTES = 8 + 8 + np.dtype(np.intp).itemsize + 1
 
 #: Byte budget of one chunk: its gain matrices, or the count tables and
 #: lines of a two-column chunk (:func:`_item_bytes`).  A thread that has
-#: scored a window keeps its peak (this budget plus a boundary pass of
-#: about the same size) in its malloc arena.  A server diagnoses on the
-#: handler thread of the connection that completed the window, so it pays
-#: this once per live connection.  On a 30x26 telemetry window a
-#: gain-matrix chunk holds 9-58 items and a two-column chunk 50-82.
+#: scored a window keeps its peak (the scratch at about this budget, plus
+#: one chunk's count tables and the window's item tables) in its malloc
+#: arena.  A server diagnoses on the handler thread of the connection that
+#: completed the window, so it pays this once per live connection.  On a
+#: 30x26 telemetry window a gain-matrix chunk holds 9-58 items and a
+#: two-column chunk 42-93.
 _CHUNK_BYTES = 1 << 17
 
 #: Budget divisor of the clump-boundary pass: a pass takes
 #: ``_CHUNK_BYTES // (_POINT_BYTES * n)`` items.  Its largest array is the
-#: ``(c, n)`` index gather that builds ``q_x`` (8 bytes per point); the
-#: rows, cut flags and boundaries it keeps take 1-2 bytes per point each,
-#: and tie groups are expanded per group, not per point.  At 30 samples a
-#: pass holds 546 items.
+#: ``(c, n)`` index gather that builds ``q_x`` (8 bytes per point), carved
+#: from the scratch; the rows, cut flags and boundaries it keeps take 1-2
+#: bytes per point each, and tie groups are expanded per group, not per
+#: point.  At 30 samples a pass holds 546 items.
 _POINT_BYTES = 8
 
 
@@ -434,7 +453,7 @@ def _batch_optimize_axis(
 
 
 def _batch_two_column_optimum(
-    bnd: np.ndarray, cum: np.ndarray, nlogn: np.ndarray
+    bnd: np.ndarray, cum: np.ndarray, nlogn: np.ndarray, scratch: _Scratch
 ) -> np.ndarray:
     """Maximal ``-n * H(Q|P)`` of each item over exactly two columns.
 
@@ -450,22 +469,33 @@ def _batch_two_column_optimum(
         cum: ``(c, rows, K+1)`` cumulative counts
             (:func:`_batch_cum_counts`).
         nlogn: the ``m * log(m)`` table of the sample count.
+        scratch: the buffer the ``(c, K+1)`` lines are carved from.
 
     Returns:
         ``(c,)`` optimum of each item, ``-inf`` for one with ``k < 2``.
     """
     n = nlogn.size - 1
-    left = np.take(nlogn, bnd)
+    left, right, gathered, diff, edge = scratch.carve(
+        bnd.shape, float, float, float, np.intp, bool
+    )
+    # Every index is a count in 0 .. n, so clipping never fires.
+    np.take(nlogn, bnd, out=left, mode="clip")
     np.negative(left, out=left)
-    right = np.take(nlogn, n - bnd)
+    np.subtract(n, bnd, out=diff)
+    np.take(nlogn, diff, out=right, mode="clip")
     np.negative(right, out=right)
     for r in range(cum.shape[1]):
         row_counts = cum[:, r, :]
-        left += np.take(nlogn, row_counts)
-        right += np.take(nlogn, row_counts[:, -1:] - row_counts)
+        np.take(nlogn, row_counts, out=gathered, mode="clip")
+        left += gathered
+        np.subtract(row_counts[:, -1:], row_counts, out=diff)
+        np.take(nlogn, diff, out=gathered, mode="clip")
+        right += gathered
     left += right
     # A split at s = 0 or at s >= k leaves a column without points.
-    left[(bnd == 0) | (bnd == n)] = -np.inf
+    np.equal(bnd, 0, out=edge)
+    edge |= bnd == n
+    np.copyto(left, -np.inf, where=edge)
     return left.max(axis=1)
 
 
@@ -502,6 +532,74 @@ class ColumnPrep:
         self.plan = plan
 
 
+def _sort_column(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A column's stable argsort order and its tie groups
+    (:func:`_tie_structure` of the sorted column)."""
+    vals = np.ascontiguousarray(values, dtype=float)
+    order = np.argsort(vals, kind="stable")
+    return order, _tie_structure(vals[order])
+
+
+def _plan_family(
+    bounds: list[int], budget: int
+) -> list[tuple[int, np.ndarray, int, float]]:
+    """The deduplicated y-axis equipartition family of a tie structure.
+
+    Everything in a column's plan except the final scatter into original
+    index order depends only on its tie groups and the budget, so columns
+    with the same tie structure share one family.
+
+    Args:
+        bounds: the column's tie groups (:func:`_tie_structure`).
+        budget: grid-size budget ``B(n)`` of the sample count.
+
+    Returns:
+        ``(max_cols, q_sorted, realised_rows, h_q)`` per entry, with
+        ``q_sorted`` the row of each *sorted* position, in the narrowest
+        signed dtype that holds ``budget``.
+    """
+    n = bounds[-1]
+    row_dtype = _int_dtype(budget)
+    family: list[tuple[int, np.ndarray, int, float]] = []
+    seen: set[tuple[bytes, int]] = set()
+    for rows in range(2, budget // 2 + 1):
+        max_cols = budget // rows
+        if max_cols < 2:
+            break
+        q_sorted = _equipartition(bounds, rows).astype(row_dtype, copy=False)
+        realised_rows = int(q_sorted[-1]) + 1
+        if realised_rows < 2:
+            continue  # too many ties to form two rows
+        # The scatter into index order is a bijection, so a duplicate
+        # here is a duplicate of the column's plan.
+        key = (q_sorted.tobytes(), max_cols)
+        if key in seen:
+            continue
+        seen.add(key)
+        # H(Q) over all points, in nats: it depends on this plan entry
+        # only, never on the x column it is paired with.
+        # Every bin up to the last realised one holds a point.
+        probs = np.bincount(q_sorted) / n
+        h_q = -float(np.sum(probs * np.log(probs)))
+        family.append((max_cols, q_sorted, realised_rows, h_q))
+    return family
+
+
+def _column_prep(
+    order: np.ndarray,
+    bounds: list[int],
+    family: list[tuple[int, np.ndarray, int, float]],
+) -> ColumnPrep:
+    """A column's :class:`ColumnPrep`: its tie structure's family, each
+    ``q`` scattered from sorted into original index order."""
+    plan = []
+    for max_cols, q_sorted, realised_rows, h_q in family:
+        q = np.empty(order.size, dtype=q_sorted.dtype)
+        q[order] = q_sorted
+        plan.append((max_cols, q, realised_rows, h_q))
+    return ColumnPrep(order, _tie_spans(bounds), plan)
+
+
 def prepare_column(
     values: np.ndarray,
     budget: int,
@@ -518,36 +616,30 @@ def prepare_column(
         The column's :class:`ColumnPrep`.  Every ``q`` of its plan has the
         narrowest signed dtype that holds ``budget``.
     """
-    params = params or _DEFAULT_PARAMS
-    vals = np.ascontiguousarray(values, dtype=float)
-    n = vals.size
-    order = np.argsort(vals, kind="stable")
-    bounds = _tie_structure(vals[order])
-    row_dtype = _int_dtype(budget)
-    plan: list[tuple[int, np.ndarray, int, float]] = []
-    seen: set[tuple[bytes, int]] = set()
-    max_rows = budget // 2
-    for rows in range(2, max_rows + 1):
-        max_cols = budget // rows
-        if max_cols < 2:
-            break
-        q_sorted = _equipartition(bounds, rows)
-        realised_rows = int(q_sorted[-1]) + 1
-        if realised_rows < 2:
-            continue  # too many ties to form two rows
-        q = np.empty(n, dtype=row_dtype)
-        q[order] = q_sorted
-        key = (q.tobytes(), max_cols)
-        if key in seen:
-            continue
-        seen.add(key)
-        # H(Q) over all points, in nats: it depends on this plan entry
-        # only, never on the x column it is paired with.
-        # Every bin up to the last realised one holds a point.
-        probs = np.bincount(q_sorted) / n
-        h_q = -float(np.sum(probs * np.log(probs)))
-        plan.append((max_cols, q, realised_rows, h_q))
-    return ColumnPrep(order, _tie_spans(bounds), plan)
+    order, bounds = _sort_column(values)
+    return _column_prep(order, bounds, _plan_family(bounds, budget))
+
+
+def _window_preps(
+    data: np.ndarray, cols: list[int], budget: int
+) -> list[ColumnPrep]:
+    """:func:`prepare_column` of each listed column of a window, with one
+    plan family built per distinct tie structure.
+
+    Most telemetry columns have no ties, so a window usually builds one
+    family for nearly all of its columns.  The memo lives for this call
+    only.
+    """
+    families: dict[tuple[int, ...], list] = {}
+    preps = []
+    for col in cols:
+        order, bounds = _sort_column(data[:, col])
+        key = tuple(bounds)
+        family = families.get(key)
+        if family is None:
+            family = families[key] = _plan_family(bounds, budget)
+        preps.append(_column_prep(order, bounds, family))
+    return preps
 
 
 def _log_table(size: int) -> np.ndarray:
@@ -561,12 +653,13 @@ def _item_bytes(n: int, width: int, rows: int, steps: int) -> int:
     An item of three or more DP steps holds ``width ** 2`` gain cells of
     :data:`_CELL_BYTES`.  A two-column item holds, per point, a clump
     start flag and a count bin (9 bytes, :func:`_batch_cum_counts`); per
-    boundary and row, a count and a cumulative count (16 bytes); and per
-    boundary, two float lines, an index line and a mask (25 bytes).
+    boundary and row, a count and a narrow cumulative count (at most 10
+    bytes); and per boundary, three float lines, an index line and a
+    mask (33 bytes, carved from the scratch).
     """
     if steps > 2:
         return _CELL_BYTES * width * width
-    return 9 * n + (16 * rows + 25) * width
+    return 9 * n + (10 * rows + 33) * width
 
 
 def _chunk_scores(
@@ -590,7 +683,7 @@ def _chunk_scores(
     n = q_x.shape[1]
     cum = _batch_cum_counts(q_x, bnd, rows)
     if steps == 2:
-        g = _batch_two_column_optimum(bnd, cum, nlogn)[:, None]
+        g = _batch_two_column_optimum(bnd, cum, nlogn, scratch)[:, None]
     else:
         gains = _batch_entropy_gains(bnd, cum, nlogn, scratch)
         g = _batch_optimize_axis(gains, k, max_cols, scratch)[:, 2:]
@@ -633,7 +726,7 @@ def _mic_pairs(
     budget = params.budget(n)
     used = sorted({col for pair in pairs for col in pair})
     local = {col: idx for idx, col in enumerate(used)}
-    preps = [prepare_column(data[:, col], budget, params) for col in used]
+    preps = _window_preps(data, used, budget)
 
     # Per-column and per-plan-entry tables, indexed by item.
     order = np.stack([p.order for p in preps])
@@ -673,7 +766,12 @@ def _mic_pairs(
     for start in range(0, item_e.size, per_pass):
         ix = item_x[start : start + per_pass]
         ie = item_e[start : start + per_pass]
-        q_x = q_all[ie[:, None], order[ix]]
+        # q_x[i] = q_all[ie[i], order[ix[i]]], through flat indices built
+        # in the scratch: no chunk of the previous pass needs it any more.
+        (gather,) = scratch.carve((ix.size, n), np.intp)
+        np.take(order, ix, axis=0, out=gather, mode="clip")
+        gather += (ie * n)[:, None]
+        q_x = np.take(q_all, gather, mode="clip")
         tie_item, span = _expand(span_first[ix], span_count[ix])
         bnd, k = _batch_boundaries(q_x, tie_item, *spans[:, span])
         khat = e_khat[ie]

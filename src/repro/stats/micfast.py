@@ -12,10 +12,12 @@ identical input twice pays one hash; the system's own paths score each
 window once.
 
 Equivalence contract: for every pair, the engine returns *exactly* the
-value of :func:`repro.stats.mic.mic` on the two columns.  Pairs with a
-non-sharable member — a column with NaNs (masking is pairwise), a
-constant column, or fewer than 4 samples — are scored by the scalar
-:func:`~repro.stats.mic.mic`, which runs the same kernel on the masked
+value of :func:`repro.stats.mic.mic` on the two columns.  A pair with a
+non-sharable member is scored one of two ways.  If that member is finite
+(a constant column, or a window under 4 samples), the pair is 0.0, which
+is what :func:`~repro.stats.mic.mic` returns for it.  Otherwise a member
+has NaNs (masking is pairwise), and the scalar
+:func:`~repro.stats.mic.mic` runs the same kernel on the masked
 two-column window.
 """
 
@@ -43,9 +45,9 @@ def _sharable_columns(arr: np.ndarray) -> np.ndarray:
 
     A column is *sharable* when it is all finite (so the pairwise NaN
     mask never fires), non-constant, and the window has at least 4
-    samples.  Pairs with a non-sharable member go through the scalar
-    :func:`~repro.stats.mic.mic`, which masks NaNs pairwise and
-    short-circuits constants to 0.0.
+    samples.  A pair with a finite non-sharable member scores 0.0; the
+    remaining pairs with a non-sharable member have NaNs and go through
+    the scalar :func:`~repro.stats.mic.mic`, which masks them pairwise.
     """
     n, m = arr.shape
     sharable = np.zeros(m, dtype=bool)
@@ -63,11 +65,18 @@ def _score_pairs(
 ) -> list[tuple[int, int, float]]:
     """MIC of each pair: sharable pairs in one batched kernel call."""
     sharable = _sharable_columns(arr)
+    # A finite column the kernel cannot share is constant, or the window
+    # is under 4 samples: mic() scores every pair it is in 0.0.
+    silent = np.isfinite(arr).all(axis=0) & ~sharable
     batched = [(i, j) for i, j in pairs if sharable[i] and sharable[j]]
     scores = dict(zip(batched, _mic_pairs(arr, batched, params).tolist()))
     for i, j in pairs:
         if (i, j) not in scores:
-            scores[i, j] = mic(arr[:, i], arr[:, j], params)
+            scores[i, j] = (
+                0.0
+                if silent[i] or silent[j]
+                else mic(arr[:, i], arr[:, j], params)
+            )
     return [(i, j, scores[i, j]) for i, j in pairs]
 
 

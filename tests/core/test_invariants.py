@@ -171,6 +171,52 @@ class TestTrackerMatchesBatch:
             InvariantTracker(catalog=CAT3).current()
 
 
+class TestArraySelectionMatchesDefinition:
+    """Algorithm 1 as array operations equals the per-pair definition,
+    bit for bit, on the full 26-metric catalog."""
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 5),
+        st.sampled_from([1, 2, None]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pairs_baselines_spreads_and_observed(self, seed, runs, digits):
+        from repro.core.pipeline import _invariant_spreads
+
+        catalog = MetricCatalog()
+        m = len(catalog)
+        r = np.random.default_rng(seed)
+        mats = []
+        for _ in range(runs):
+            a = r.uniform(0, 1, (m, m))
+            if digits is not None:
+                a = np.round(a, digits)  # spreads land on tau exactly
+            a = np.triu(a, 1)
+            mats.append(a + a.T + np.eye(m))
+        stack = np.stack(mats)
+        want_pairs, want_base, want_spread = [], [], []
+        for i, j in catalog.pairs():
+            v = stack[:, i, j]
+            if float(v.max() - v.min()) < TAU:
+                want_pairs.append((i, j))
+                want_base.append(float(v.max()))
+                want_spread.append(round(float(v.max() - v.min()), 6))
+        got = select_invariants(mats, catalog=catalog)
+        assert got.pairs == want_pairs
+        assert got.baseline.tobytes() == np.asarray(want_base).tobytes()
+        tracker = InvariantTracker(catalog=catalog)
+        for mat in mats:
+            tracker.add_run(mat)
+        assert tracker.current().pairs == want_pairs
+        assert tracker.current().baseline.tobytes() == got.baseline.tobytes()
+        assert _invariant_spreads(mats, got) == want_spread
+        abnormal = AssociationMatrix(values=mats[0], catalog=catalog)
+        assert got.observed(abnormal).tolist() == [
+            mats[0][i, j] for i, j in want_pairs
+        ]
+
+
 class TestViolations:
     @pytest.fixture()
     def invariants(self):

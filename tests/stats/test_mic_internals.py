@@ -323,7 +323,9 @@ class TestDpShortcuts:
         nlogn = _mic._nlogn_table(n)
         gains = _mic._batch_entropy_gains(bnd, cum, nlogn, _mic._Scratch())
         expected = _full_dp(gains, k, np.full(k.size, 2))[:, 2]
-        got = _mic._batch_two_column_optimum(bnd, cum, nlogn)
+        got = _mic._batch_two_column_optimum(
+            bnd, cum, nlogn, _mic._Scratch()
+        )
         assert np.array_equal(got, expected)
         assert np.all(np.isfinite(got[k >= 2]))
 

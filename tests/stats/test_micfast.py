@@ -1,9 +1,13 @@
 """Tests for the association-matrix front of the MIC engine and its cache."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.stats.mic import MICParameters, mic
+from repro.stats.mic import MICParameters, mic, prepare_column
 from repro.stats.micfast import (
     AssociationCache,
     _score_pairs,
@@ -65,7 +69,8 @@ class TestEngineEquivalence:
         )
 
     def test_tiny_window_falls_back_to_scalar(self, rng):
-        # n < 4: no column is sharable; every pair scores 0 via mic().
+        # n < 4: no column is sharable, and every finite column scores
+        # 0.0 without a call to mic().
         data = rng.normal(size=(3, 4))
         assert np.array_equal(mic_matrix_fast(data), np.eye(4))
 
@@ -100,13 +105,13 @@ class TestPrepTable:
 
         mic_mod = importlib.import_module("repro.stats.mic")
         built = []
-        real = mic_mod.prepare_column
+        real = mic_mod._sort_column
 
-        def counting(values, budget, params=None):
+        def counting(values):
             built.append(values.tobytes())
-            return real(values, budget, params)
+            return real(values)
 
-        monkeypatch.setattr(mic_mod, "prepare_column", counting)
+        monkeypatch.setattr(mic_mod, "_sort_column", counting)
         data = rng.uniform(0, 1, size=(40, 3))
         _score_pairs(data, MICParameters(), [(0, 1)])
         # Only the columns the pairs name are prepared.
@@ -115,6 +120,103 @@ class TestPrepTable:
         _score_pairs(data, MICParameters(), [(0, 1), (0, 2)])
         # Column 0 serves both pairs from one precompute.
         assert built == [data[:, c].tobytes() for c in range(3)]
+
+
+class TestNonSharablePairs:
+    """Pairs the batched kernel cannot score: a finite member that is
+    not sharable makes the pair exactly 0.0 without the scalar kernel;
+    only NaN-bearing pairs run scalar mic()."""
+
+    @staticmethod
+    def _count_scalar_calls(monkeypatch):
+        micfast_mod = importlib.import_module("repro.stats.micfast")
+        calls = []
+        real = micfast_mod.mic
+
+        def counting(x, y, params=None):
+            calls.append((x.tobytes(), y.tobytes()))
+            return real(x, y, params)
+
+        monkeypatch.setattr(micfast_mod, "mic", counting)
+        return calls
+
+    def test_constant_column_makes_no_scalar_calls(self, rng, monkeypatch):
+        calls = self._count_scalar_calls(monkeypatch)
+        data = rng.normal(size=(30, 26))
+        data[:, 7] = 2.5
+        fast = mic_matrix_fast(data)
+        assert calls == []
+        assert np.all(np.delete(fast[7], 7) == 0.0)
+
+    def test_only_nan_pairs_run_scalar(self, rng, monkeypatch):
+        calls = self._count_scalar_calls(monkeypatch)
+        data = _mixed_window(rng)  # column 3 constant, column 4 NaN
+        fast = mic_matrix_fast(data)
+        # The NaN column against the four sharable columns; its pair
+        # with the constant column is 0.0 without a call.
+        assert len(calls) == 4
+        assert fast[3, 4] == 0.0
+        assert np.array_equal(fast, _scalar_matrix(data))
+
+
+class TestSharedPlanFamilies:
+    """A window builds each y-axis equipartition family once per
+    distinct tie structure and gives each column its own scatter."""
+
+    def test_equipartition_once_per_tie_structure(self, rng, monkeypatch):
+        mic_mod = importlib.import_module("repro.stats.mic")
+        calls = []
+        real = mic_mod._equipartition
+
+        def counting(bounds, num_bins):
+            calls.append((tuple(bounds), num_bins))
+            return real(bounds, num_bins)
+
+        monkeypatch.setattr(mic_mod, "_equipartition", counting)
+        data = rng.normal(size=(30, 26))
+        data[:, 5] = rng.choice([0.0, 1.0, 2.0], size=30)
+        data[:, 11] = np.round(data[:, 11])
+        mic_matrix_fast(data)
+        # B(30) = 7 asks for 2 and 3 rows; 24 untied columns share one
+        # tie structure and the two tied columns have one each.
+        assert len(calls) == 3 * 2
+        assert len(set(calls)) == len(calls)
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(
+            st.sampled_from(["untied", "tied", "shuffled", "coarse"]),
+            min_size=2,
+            max_size=8,
+        ),
+        st.sampled_from([24, 30, 48]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_each_plan_equals_standalone_prepare_column(self, seed, kinds, n):
+        mic_mod = importlib.import_module("repro.stats.mic")
+        r = np.random.default_rng(seed)
+        # "shuffled" columns share one tie structure in different orders.
+        levels = np.repeat([0.0, 1.0, 2.0], [n // 2, n // 3, n - n // 2 - n // 3])
+        make = {
+            "untied": lambda: r.normal(size=n),
+            "tied": lambda: r.choice([0.0, 1.0, 2.0], size=n),
+            "shuffled": lambda: r.permutation(levels),
+            "coarse": lambda: np.round(2 * r.normal(size=n)),
+        }
+        data = np.column_stack([make[kind]() for kind in kinds])
+        budget = MICParameters().budget(n)
+        shared = mic_mod._window_preps(data, list(range(len(kinds))), budget)
+        for col, prep in enumerate(shared):
+            alone = prepare_column(data[:, col], budget)
+            assert np.array_equal(prep.order, alone.order)
+            assert np.array_equal(prep.spans, alone.spans)
+            assert len(prep.plan) == len(alone.plan)
+            for got, want in zip(prep.plan, alone.plan):
+                assert got[0] == want[0]  # max_cols
+                assert got[1].dtype == want[1].dtype
+                assert np.array_equal(got[1], want[1])  # q
+                assert got[2] == want[2]  # realised rows
+                assert got[3] == want[3]  # h_q
 
 
 class TestAssociationCache:
@@ -210,7 +312,10 @@ class TestScratchBudget:
 
     #: Allowance beyond the chunk budget: the column precompute and item
     #: tables (~150 KiB at 30x26), the boundary pass's (c, n) arrays
-    #: (sized from the same budget) and the per-chunk DP tables.
+    #: (sized from the same budget) and the per-chunk DP tables.  The
+    #: seeded window below peaks at 427-428 KiB with the pass's index
+    #: gather and the two-column lines carved from the scratch, against
+    #: 450.6 KiB when they were allocated beside it (NumPy 2.4).
     SLACK = 512 * 1024
 
     def test_pipeline_window_peak_within_budget(self, rng):
